@@ -1,5 +1,8 @@
 #!/usr/bin/env python3
-"""Train, decode and score all four model variants on one corpus.
+"""Train, decode and score all four variant names on one corpus.
+
+The names run two wirings: `bert+gpt2` and `gpt2+bert` are aliases of
+`bert` and `gpt2`, so their rows repeat those models' scores.
 
 Drives the CLI end to end: train on train.src/train.tgt with early stopping
 against the valid split, simplify the test split, score it, then print the

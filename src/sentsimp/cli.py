@@ -16,7 +16,7 @@ import sys
 from . import corpus as C
 from . import sari as S
 from . import tokenizer as tok
-from .decoding import DecodeConfig, simplify
+from .decoding import STRATEGIES, DecodeConfig, simplify
 from .model import VARIANTS, init_model, variant_config
 from .train import (CheckpointFormatError, TrainConfig, TrainingDivergedError,
                     history_tsv, load_checkpoint, model_from_checkpoint, save_checkpoint,
@@ -166,6 +166,7 @@ def cmd_eval(args) -> int:
     report, scores = S.sari_corpus(
         (e.source, out, list(e.references)) for e, out in zip(evals, outputs)
     )
+    histogram = S.score_histogram(scores, args.bins)  # rejects a bad --bins before any write
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
     label = args.label or os.path.basename(os.path.normpath(out_dir))
@@ -192,7 +193,7 @@ def cmd_eval(args) -> int:
 
     with open(os.path.join(out_dir, "histogram.tsv"), "w", encoding="utf-8") as f:
         f.write("bin_lower\tcount\n")
-        for lower, count in S.score_histogram(scores, args.bins):
+        for lower, count in histogram:
             f.write(f"{lower!r}\t{count}\n")
 
     print(f"SARI {report.sari:.2f}  ADD {report.add:.2f}  "
@@ -259,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--strategy", choices=["greedy", "beam"], default="greedy")
+    p.add_argument("--strategy", choices=STRATEGIES, default="greedy")
     p.add_argument("--beam-width", dest="beam_width", type=int, default=4)
     p.set_defaults(func=cmd_simplify)
 

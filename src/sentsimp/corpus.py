@@ -6,7 +6,6 @@ Evaluation sets follow the <stem>.src / <stem>.ref.0 ... naming scheme.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 from dataclasses import dataclass
@@ -30,17 +29,6 @@ class ParallelExample:
 class EvalExample:
     source: str
     references: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class CorpusStats:
-    num_pairs: int
-    num_refs: int
-    max_src_tokens: int
-    max_tgt_tokens: int
-
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__)
 
 
 @dataclass
@@ -108,26 +96,6 @@ def find_eval_files(stem) -> tuple[str, list[str]]:
     if not refs:
         raise FileNotFoundError(f"no reference files matching {stem}.ref.0 ...")
     return src, refs
-
-
-def parallel_stats(examples: list[ParallelExample]) -> CorpusStats:
-    return CorpusStats(
-        num_pairs=len(examples),
-        num_refs=1,
-        max_src_tokens=max((len(e.source.split()) for e in examples), default=0),
-        max_tgt_tokens=max((len(e.target.split()) for e in examples), default=0),
-    )
-
-
-def eval_stats(examples: list[EvalExample]) -> CorpusStats:
-    return CorpusStats(
-        num_pairs=len(examples),
-        num_refs=len(examples[0].references) if examples else 0,
-        max_src_tokens=max((len(e.source.split()) for e in examples), default=0),
-        max_tgt_tokens=max(
-            (len(r.split()) for e in examples for r in e.references), default=0
-        ),
-    )
 
 
 def make_batches(examples, batch_size: int, pad_id: int, max_len: int,

@@ -1,9 +1,11 @@
 """Greedy and beam-search generation from a trained model.
 
-Both strategies are expressed over a step function mapping token-id
-prefixes to next-token logits, so they can be exercised against
-hand-built distributions as well as real models. Ties always resolve to
-the lowest token id.
+`simplify` decodes one sentence with the configured strategy;
+`greedy_decode_batch` decodes many sentences greedily in one padded batch.
+The search cores `greedy_ids` and `beam_ids` work over a step function
+mapping token-id prefixes to next-token logits, so they can be exercised
+against hand-built distributions as well as real models. Ties always
+resolve to the lowest token id.
 """
 
 from __future__ import annotations
@@ -16,15 +18,19 @@ import numpy as np
 from .model import Model, decoder_logits, encode_source
 from .tokenizer import Vocabulary, decode as decode_ids, encode
 
+STRATEGIES = ("greedy", "beam")
+
 
 @dataclass(frozen=True)
 class DecodeConfig:
     max_len: int = 80
     strategy: str = "greedy"
     beam_width: int = 4
-    length_penalty: float = 0.0
 
     def __post_init__(self):
+        if self.strategy not in STRATEGIES:
+            raise ValueError(f"unknown decoding strategy {self.strategy!r}; "
+                             f"choose from {list(STRATEGIES)}")
         if self.beam_width < 1:
             raise ValueError("beam_width must be >= 1")
         if self.max_len < 3:
@@ -67,9 +73,8 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return z - math.log(np.exp(z).sum())
 
 
-def beam_ids(step_fn, bos_id: int, eos_id: int, max_len: int,
-             beam_width: int, length_penalty: float = 0.0) -> list[int]:
-    """Length-penalized beam search; beams reaching eos are retired."""
+def beam_ids(step_fn, bos_id: int, eos_id: int, max_len: int, beam_width: int) -> list[int]:
+    """Beam search for the highest total log-probability; beams reaching eos are retired."""
     active: list[tuple[float, tuple[int, ...]]] = [(0.0, (bos_id,))]
     finished: list[tuple[float, tuple[int, ...]]] = []
     while active and len(active[0][1]) < max_len:
@@ -89,43 +94,19 @@ def beam_ids(step_fn, bos_id: int, eos_id: int, max_len: int,
             else:
                 active.append((score, ids))
     finished.extend(active)  # unfinished beams at the length cap still compete
-
-    def final_score(entry):
-        score, ids = entry
-        n = max(1, len(ids) - 1)  # generated tokens, excluding bos
-        return score / (n ** length_penalty)
-
-    finished.sort(key=lambda e: (-final_score(e), e[1]))
+    finished.sort(key=lambda e: (-e[0], e[1]))
     return list(finished[0][1])
 
 
-def sequence_logprob(step_fn, ids: list[int]) -> float:
-    """Sum of next-token log-probabilities along a bos-prefixed sequence."""
-    total = 0.0
-    for i in range(1, len(ids)):
-        total += float(_log_softmax(step_fn(ids[:i]))[ids[i]])
-    return total
-
-
-def greedy_decode(model: Model, vocab: Vocabulary, source: str, cfg: DecodeConfig) -> str:
+def simplify(model: Model, vocab: Vocabulary, source: str, cfg: DecodeConfig) -> str:
+    """Decode one sentence with cfg.strategy."""
     step = _model_step_fn(model, vocab, source, cfg)
     cap = _decode_cap(model, cfg)
-    return decode_ids(vocab, greedy_ids(step, vocab.bos_id, vocab.eos_id, cap))
-
-
-def beam_decode(model: Model, vocab: Vocabulary, source: str, cfg: DecodeConfig) -> str:
-    step = _model_step_fn(model, vocab, source, cfg)
-    ids = beam_ids(step, vocab.bos_id, vocab.eos_id, _decode_cap(model, cfg),
-                   cfg.beam_width, cfg.length_penalty)
-    return decode_ids(vocab, ids)
-
-
-def simplify(model: Model, vocab: Vocabulary, source: str, cfg: DecodeConfig) -> str:
-    if cfg.strategy == "greedy":
-        return greedy_decode(model, vocab, source, cfg)
     if cfg.strategy == "beam":
-        return beam_decode(model, vocab, source, cfg)
-    raise ValueError(f"unknown decoding strategy {cfg.strategy!r}")
+        ids = beam_ids(step, vocab.bos_id, vocab.eos_id, cap, cfg.beam_width)
+    else:
+        ids = greedy_ids(step, vocab.bos_id, vocab.eos_id, cap)
+    return decode_ids(vocab, ids)
 
 
 def greedy_decode_batch(model: Model, vocab: Vocabulary, sources: list[str],

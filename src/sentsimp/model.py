@@ -1,10 +1,11 @@
-"""Encoder-decoder transformer and its four variant wirings.
+"""Encoder-decoder transformer under the paper's four variant names.
 
-A variant only changes two things: whether the encoder self-attends
-bidirectionally (BERT-style) or causally (GPT-2-style), and which
-full-scale vocabulary size the preset carries. The decoder is always
-causal self-attention plus cross-attention over the encoder output.
-Residual + post-layer-norm around every sublayer.
+There are two wirings. The encoder self-attends bidirectionally
+(BERT-style, `bert`) or causally (GPT-2-style, `gpt2`); the decoder is
+always causal self-attention plus cross-attention over the encoder output,
+so `bert+gpt2` and `gpt2+bert` are aliases of `bert` and `gpt2`. At paper
+scale the vocabulary size follows the encoder side. Residual +
+post-layer-norm around every sublayer.
 """
 
 from __future__ import annotations
@@ -52,21 +53,11 @@ class ModelConfig:
             raise ValueError(f"unsupported activation {self.activation!r}")
 
 
-@dataclass(frozen=True)
-class VariantSpec:
-    name: str
-    encoder_masking: str
-    encoder_vocab_size: int
-    decoder_vocab_size: int
-    decoder_style: str = "causal+cross"
-
-
-VARIANTS = {
-    "bert": VariantSpec("bert", BIDIRECTIONAL, BERT_VOCAB, BERT_VOCAB),
-    "gpt2": VariantSpec("gpt2", CAUSAL, GPT2_VOCAB, GPT2_VOCAB),
-    "bert+gpt2": VariantSpec("bert+gpt2", BIDIRECTIONAL, BERT_VOCAB, GPT2_VOCAB),
-    "gpt2+bert": VariantSpec("gpt2+bert", CAUSAL, GPT2_VOCAB, BERT_VOCAB),
-}
+# Paper name -> the wiring it runs. The decoder is the same for every name,
+# so each combined name is an alias of the wiring its encoder side names.
+VARIANTS = {"bert": "bert", "gpt2": "gpt2", "bert+gpt2": "bert", "gpt2+bert": "gpt2"}
+# Wiring -> (encoder self-attention masking, paper-scale vocabulary size).
+_WIRINGS = {"bert": (BIDIRECTIONAL, BERT_VOCAB), "gpt2": (CAUSAL, GPT2_VOCAB)}
 
 _PAPER = dict(d_model=768, n_heads=12, n_layers=12, d_ff=3072, max_len=80, dropout_rate=0.1)
 _TOY = dict(d_model=64, n_heads=2, n_layers=2, d_ff=128, max_len=80, dropout_rate=0.0)
@@ -76,14 +67,14 @@ def variant_config(name: str, scale: str, vocab_size: int | None = None) -> Mode
     """Preset hyperparameters for a named variant at paper or toy scale.
 
     Toy scale uses a corpus-built shared vocabulary, so vocab_size must be
-    given; paper scale defaults to the variant's encoder-side preset.
+    given; paper scale defaults to the encoder side's vocabulary size.
     """
     if name not in VARIANTS:
         raise ValueError(f"unknown variant {name!r}; choose from {sorted(VARIANTS)}")
-    spec = VARIANTS[name]
+    masking, paper_vocab = _WIRINGS[VARIANTS[name]]
     if scale == "paper":
         base = _PAPER
-        vocab = vocab_size if vocab_size is not None else spec.encoder_vocab_size
+        vocab = vocab_size if vocab_size is not None else paper_vocab
     elif scale == "toy":
         base = _TOY
         if vocab_size is None:
@@ -91,7 +82,7 @@ def variant_config(name: str, scale: str, vocab_size: int | None = None) -> Mode
         vocab = vocab_size
     else:
         raise ValueError(f"unknown scale {scale!r}; choose 'paper' or 'toy'")
-    return ModelConfig(vocab_size=vocab, encoder_masking=spec.encoder_masking, **base)
+    return ModelConfig(vocab_size=vocab, encoder_masking=masking, **base)
 
 
 class Model:
@@ -104,9 +95,6 @@ class Model:
 
     def parameters(self) -> list[Tensor]:
         return list(self.params.values())
-
-    def num_parameters(self) -> int:
-        return sum(p.data.size for p in self.params.values())
 
 
 def _attn_param_names(prefix: str):
@@ -155,19 +143,22 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
+def model_from_arrays(config: ModelConfig, arrays: dict[str, np.ndarray]) -> Model:
+    """Trainable tensors over the given arrays; layer norms are exempt from weight decay."""
+    params = {name: Tensor(data, requires_grad=True) for name, data in arrays.items()}
+    return Model(config, params, {name for name in params if ".ln" in name})
+
+
 def init_model(config: ModelConfig, seed: int) -> Model:
     """Normal(0, 0.02^2) weights, layer-norm gains 1 / biases 0, all from one PRNG."""
     rng = np.random.default_rng(seed)
-    params: dict[str, Tensor] = {}
-    no_decay: set[str] = set()
+    arrays: dict[str, np.ndarray] = {}
     for name, shape in param_shapes(config).items():
         if ".ln" in name:
-            data = np.ones(shape) if name.endswith(".gain") else np.zeros(shape)
-            no_decay.add(name)
+            arrays[name] = np.ones(shape) if name.endswith(".gain") else np.zeros(shape)
         else:
-            data = rng.normal(0.0, INIT_STD, size=shape)
-        params[name] = Tensor(data, requires_grad=True)
-    return Model(config, params, no_decay)
+            arrays[name] = rng.normal(0.0, INIT_STD, size=shape)
+    return model_from_arrays(config, arrays)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray) -> Tensor:
@@ -271,24 +262,6 @@ def forward(model: Model, batch: Batch, train_mode: bool = False, rng=None) -> T
                           batch.target_in_ids, batch.target_pad_mask, train_mode, rng)
 
 
-def expected_param_count(config: ModelConfig) -> int:
-    """Closed-form parameter count for a config (used to cross-check init)."""
-    d, ff, v, L, n = config.d_model, config.d_ff, config.vocab_size, config.max_len, config.n_layers
-    attn = 4 * (d * d + d)
-    ffn = d * ff + ff + ff * d + d
-    ln = 2 * d
-    enc_layer = attn + ffn + 2 * ln
-    dec_layer = 2 * attn + ffn + 3 * ln
-    emb = 2 * (v * d + L * d)
-    return emb + n * enc_layer + n * dec_layer + d * v + v
-
-
 def clone_params(model: Model) -> dict[str, np.ndarray]:
     return {name: p.data.copy() for name, p in model.params.items()}
 
-
-def load_params(model: Model, params: dict[str, np.ndarray]) -> None:
-    for name, data in params.items():
-        if model.params[name].data.shape != data.shape:
-            raise ValueError(f"shape mismatch for parameter {name}")
-        model.params[name].data = np.ascontiguousarray(data, dtype=np.float64)

@@ -56,18 +56,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def sum(self) -> "Tensor":
-        return tensor_sum(self)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -103,16 +91,6 @@ def add(a, b) -> Tensor:
 
     def bw(g):
         return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
-
-    return _result(out, (a, b), bw)
-
-
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = a.data - b.data
-
-    def bw(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
 
     return _result(out, (a, b), bw)
 

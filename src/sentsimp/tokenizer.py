@@ -95,16 +95,3 @@ def decode(vocab: Vocabulary, ids: list[int]) -> str:
         words.append(vocab.id_to_token[i])
     return " ".join(words)
 
-
-def save_vocab(vocab: Vocabulary, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for tok in vocab.id_to_token:
-            f.write(tok + "\n")
-
-
-def load_vocab(path) -> Vocabulary:
-    with open(path, encoding="utf-8") as f:
-        tokens = [line.rstrip("\n") for line in f]
-    if tuple(tokens[:4]) != SPECIALS:
-        raise ValueError(f"vocabulary file {path} does not start with the four specials")
-    return Vocabulary({tok: i for i, tok in enumerate(tokens)}, tuple(tokens))

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
 from . import tensor as T
 from .corpus import Batch, EvalExample
-from .model import Model, ModelConfig, clone_params, forward, init_model, load_params
+from .model import (Model, ModelConfig, clone_params, forward, model_from_arrays,
+                    param_shapes)
 from .tokenizer import Vocabulary, SPECIALS
 from .tensor import NonFiniteError
 
@@ -249,6 +250,7 @@ def _config_text(ckpt: Checkpoint) -> str:
 def _parse_config_text(text: str) -> Checkpoint:
     import ast
 
+    known = {f.name for f in fields(ModelConfig)}
     cfg_kwargs: dict = {}
     tokens: dict[int, str] = {}
     history = TrainHistory()
@@ -257,7 +259,13 @@ def _parse_config_text(text: str) -> Checkpoint:
             continue
         key, _, value = line.partition("=")
         if key.startswith("config."):
-            cfg_kwargs[key[len("config."):]] = ast.literal_eval(value)
+            field_name = key[len("config."):]
+            if field_name not in known:
+                raise CheckpointFormatError(f"unknown checkpoint config key {key!r}")
+            try:
+                cfg_kwargs[field_name] = ast.literal_eval(value)
+            except (ValueError, SyntaxError) as exc:
+                raise CheckpointFormatError(f"bad value for {key}: {value!r}") from exc
         elif key.startswith("vocab."):
             tokens[int(key[len("vocab."):])] = value
         elif key == "history.best_epoch":
@@ -328,6 +336,15 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> Model:
-    model = init_model(ckpt.config, seed=0)
-    load_params(model, ckpt.params)
-    return model
+    """A model over the checkpoint's arrays, which must be exactly the config's parameters."""
+    shapes = param_shapes(ckpt.config)
+    missing = sorted(set(shapes) - set(ckpt.params))
+    extra = sorted(set(ckpt.params) - set(shapes))
+    if missing or extra:
+        raise CheckpointFormatError(
+            f"checkpoint parameters do not match its config: missing {missing}, extra {extra}")
+    for name, shape in shapes.items():
+        if ckpt.params[name].shape != shape:
+            raise CheckpointFormatError(
+                f"parameter {name} has shape {ckpt.params[name].shape}, config needs {shape}")
+    return model_from_arrays(ckpt.config, {name: ckpt.params[name] for name in shapes})

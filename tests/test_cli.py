@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from sentsimp.cli import main
+from sentsimp.train import load_checkpoint, save_checkpoint
 
 from conftest import make_toy_pairs, write_corpus
 
@@ -98,6 +100,42 @@ class TestSimplify:
         assert main(["simplify", "--checkpoint", str(bad),
                      "--input", str(bad), "--output", str(tmp_path / "o")]) == 2
 
+    def simplify_error(self, ckpt, corpus_dir, tmp_path, capsys) -> str:
+        code = main(["simplify", "--checkpoint", str(ckpt),
+                     "--input", str(corpus_dir / "test.src"), "--output", str(tmp_path / "o")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:")
+        return err[0]
+
+    @pytest.mark.parametrize("edit", [
+        lambda params: params.pop("out.b"),
+        lambda params: params.__setitem__("bogus.w", np.zeros(2)),
+        lambda params: params.__setitem__("out.b", params["out.b"][:-1]),
+    ], ids=["missing", "extra", "wrong_shape"])
+    def test_parameter_set_mismatch_exits_2(self, edit, trained_run, corpus_dir,
+                                            tmp_path, capsys):
+        ckpt = load_checkpoint(trained_run / "checkpoint.bin")
+        edit(ckpt.params)
+        path = tmp_path / "edited.bin"
+        save_checkpoint(ckpt, path)
+        message = self.simplify_error(path, corpus_dir, tmp_path, capsys)
+        assert "bogus.w" in message or "out.b" in message
+
+    # Byte edits of the same length, so the text block's length prefix still holds.
+    @pytest.mark.parametrize("old, new", [
+        (b"config.activation=", b"config.activatiox="),
+        (b"config.dropout_rate=0.0", b"config.dropout_rate=0.)"),
+    ], ids=["unknown_key", "not_a_literal"])
+    def test_corrupt_config_block_exits_2(self, old, new, trained_run, corpus_dir,
+                                          tmp_path, capsys):
+        raw = (trained_run / "checkpoint.bin").read_bytes()
+        assert raw.count(old) == 1
+        path = tmp_path / "edited.bin"
+        path.write_bytes(raw.replace(old, new))
+        message = self.simplify_error(path, corpus_dir, tmp_path, capsys)
+        assert new.split(b"=")[0].decode() in message
+
 
 @pytest.fixture(scope="module")
 def eval_dir(corpus_dir, tmp_path_factory):
@@ -136,6 +174,13 @@ class TestEval:
         assert main(["eval", "--system", str(short),
                      "--eval-stem", str(corpus_dir / "test"),
                      "--out", str(tmp_path / "out")]) == 2
+
+    def test_bad_bins_exits_2_before_writing(self, corpus_dir, tmp_path):
+        out = tmp_path / "out"
+        assert main(["eval", "--system", str(corpus_dir / "test.ref.0"),
+                     "--eval-stem", str(corpus_dir / "test"),
+                     "--out", str(out), "--bins", "0"]) == 2
+        assert not out.exists() or not any(out.iterdir())
 
 
 class TestReport:

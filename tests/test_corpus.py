@@ -68,8 +68,6 @@ class TestLoadEval:
         assert len(examples) == 359
         assert all(len(e.references) == 8 for e in examples)
         assert examples[5].references[3] == "ref 3 5"
-        assert C.eval_stats(examples).num_pairs == 359
-        assert C.eval_stats(examples).num_refs == 8
 
     def test_single_reference(self, tmp_path):
         write(tmp_path / "t.src", ["a"])
@@ -152,10 +150,3 @@ class TestMakeBatches:
         want = sorted((s, t) for s, t in pairs)
         assert sorted(rows) == want
 
-
-def test_stats_json(tmp_path):
-    examples = [C.ParallelExample("a b c", "a b")]
-    stats = C.parallel_stats(examples)
-    assert stats.num_pairs == 1
-    assert stats.max_src_tokens == 3
-    assert '"num_pairs": 1' in stats.to_json()

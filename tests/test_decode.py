@@ -4,11 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from sentsimp.decoding import (DecodeConfig, beam_decode, beam_ids, greedy_decode,
-                               greedy_decode_batch, greedy_ids, sequence_logprob,
-                               simplify)
+from sentsimp.decoding import (DecodeConfig, _model_step_fn, beam_ids, greedy_decode_batch,
+                               greedy_ids, simplify)
 from sentsimp.model import init_model
-from sentsimp.tokenizer import build_vocab
+from sentsimp.tokenizer import build_vocab, decode
 
 from conftest import make_toy_pairs, toy_model_config, toy_vocab
 
@@ -23,10 +22,24 @@ def table_step_fn(table, vocab_size):
     return step
 
 
+def sequence_logprob(step_fn, ids):
+    """Sum of next-token log-probabilities along a bos-prefixed sequence."""
+    total = 0.0
+    for i in range(1, len(ids)):
+        logits = step_fn(ids[:i])
+        z = logits - logits.max()
+        total += float(z[ids[i]] - math.log(np.exp(z).sum()))
+    return total
+
+
 class TestDecodeConfig:
     def test_beam_width_floor(self):
         with pytest.raises(ValueError):
             DecodeConfig(beam_width=0)
+
+    def test_unknown_strategy_rejected(self):
+        with pytest.raises(ValueError, match="sample"):
+            DecodeConfig(strategy="sample")
 
 
 class TestGreedyCore:
@@ -104,15 +117,14 @@ class TestAgainstRandomModels:
         return model, vocab
 
     def test_beam_width_one_matches_greedy_on_random_models(self):
-        cfg1 = DecodeConfig(max_len=10, beam_width=1)
+        greedy = DecodeConfig(max_len=10)
+        beam1 = DecodeConfig(max_len=10, strategy="beam", beam_width=1)
         for seed in range(20):
             model, vocab = self.make(seed)
             source = "the cat saw the dog"
-            assert beam_decode(model, vocab, source, cfg1) == \
-                greedy_decode(model, vocab, source, DecodeConfig(max_len=10))
+            assert simplify(model, vocab, source, beam1) == simplify(model, vocab, source, greedy)
 
     def test_beam_score_dominates_greedy(self):
-        from sentsimp.decoding import _model_step_fn
         cfg = DecodeConfig(max_len=10, beam_width=4)
         for seed in range(20):
             model, vocab = self.make(seed)
@@ -125,13 +137,13 @@ class TestAgainstRandomModels:
     def test_decoding_deterministic(self):
         model, vocab = self.make(3)
         cfg = DecodeConfig(max_len=12)
-        outs = {greedy_decode(model, vocab, "the cat saw the sun", cfg) for _ in range(3)}
+        outs = {simplify(model, vocab, "the cat saw the sun", cfg) for _ in range(3)}
         assert len(outs) == 1
 
     def test_output_never_contains_specials_or_exceeds_cap(self):
         for seed in range(5):
             model, vocab = self.make(seed)
-            out = greedy_decode(model, vocab, "the man held the tree", DecodeConfig())
+            out = simplify(model, vocab, "the man held the tree", DecodeConfig())
             assert len(out.split()) <= 80
             for special in ("<pad>", "<bos>", "<eos>"):
                 assert special not in out
@@ -141,13 +153,16 @@ class TestAgainstRandomModels:
         cfg = DecodeConfig(max_len=12)
         sources = ["the cat saw the dog", "the perspicacious man ate the fish",
                    "the sun held the tree"]
-        singles = [greedy_decode(model, vocab, s, cfg) for s in sources]
+        singles = [simplify(model, vocab, s, cfg) for s in sources]
         assert greedy_decode_batch(model, vocab, sources, cfg) == singles
 
     def test_simplify_dispatch(self):
         model, vocab = self.make(1)
         src = "the cat ate the sun"
-        assert simplify(model, vocab, src, DecodeConfig(max_len=10)) == \
-            greedy_decode(model, vocab, src, DecodeConfig(max_len=10))
-        with pytest.raises(ValueError):
-            simplify(model, vocab, src, DecodeConfig(strategy="sample"))
+        greedy = DecodeConfig(max_len=10)
+        beam = DecodeConfig(max_len=10, strategy="beam", beam_width=3)
+        step = _model_step_fn(model, vocab, src, greedy)
+        assert simplify(model, vocab, src, greedy) == \
+            decode(vocab, greedy_ids(step, vocab.bos_id, vocab.eos_id, 10))
+        assert simplify(model, vocab, src, beam) == \
+            decode(vocab, beam_ids(step, vocab.bos_id, vocab.eos_id, 10, 3))

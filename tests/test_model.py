@@ -2,11 +2,24 @@ import numpy as np
 import pytest
 
 from sentsimp import tensor as T
-from sentsimp.model import (BIDIRECTIONAL, CAUSAL, ModelConfig, VARIANTS, attention,
-                            expected_param_count, forward, init_model, variant_config)
+from sentsimp.cli import build_parser
+from sentsimp.model import (BIDIRECTIONAL, CAUSAL, ModelConfig, VARIANTS, attention, forward,
+                            init_model, variant_config)
 from sentsimp.tensor import Tensor
 
 from conftest import random_batch, toy_model_config
+
+
+def expected_param_count(config: ModelConfig) -> int:
+    """Closed-form parameter count for a config."""
+    d, ff, v, L, n = config.d_model, config.d_ff, config.vocab_size, config.max_len, config.n_layers
+    attn = 4 * (d * d + d)
+    ffn = d * ff + ff + ff * d + d
+    ln = 2 * d
+    enc_layer = attn + ffn + 2 * ln
+    dec_layer = 2 * attn + ffn + 3 * ln
+    emb = 2 * (v * d + L * d)
+    return emb + n * enc_layer + n * dec_layer + d * v + v
 
 
 class TestVariantConfig:
@@ -41,9 +54,19 @@ class TestVariantConfig:
 
     def test_variant_table_complete(self):
         assert set(VARIANTS) == {"bert", "gpt2", "bert+gpt2", "gpt2+bert"}
-        for spec in VARIANTS.values():
-            assert spec.decoder_style == "causal+cross"
-            assert spec.encoder_vocab_size in (30522, 50257)
+        parser = build_parser()
+        for name in VARIANTS:
+            args = parser.parse_args(["train", "--out", "o", "--train-src", "s",
+                                      "--train-tgt", "t", "--valid-stem", "v",
+                                      "--variant", name])
+            assert args.variant == name
+
+    def test_combined_names_alias_their_encoder_side(self):
+        for alias, base in (("bert+gpt2", "bert"), ("gpt2+bert", "gpt2")):
+            assert VARIANTS[alias] == base
+            assert variant_config(alias, "paper") == variant_config(base, "paper")
+            assert variant_config(alias, "toy", vocab_size=50) == \
+                variant_config(base, "toy", vocab_size=50)
 
 
 class TestConfigValidation:
@@ -74,7 +97,8 @@ class TestInitModel:
     def test_param_count_matches_closed_form(self):
         for vocab in (16, 64):
             cfg = toy_model_config(vocab)
-            assert init_model(cfg, 0).num_parameters() == expected_param_count(cfg)
+            model = init_model(cfg, 0)
+            assert sum(p.data.size for p in model.parameters()) == expected_param_count(cfg)
 
     def test_layer_norm_gains_are_ones(self):
         model = init_model(toy_model_config(16), 0)

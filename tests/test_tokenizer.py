@@ -97,11 +97,3 @@ def test_round_trip_for_in_vocab_text(words):
     assert len(seq.ids) <= 80
     assert tok.decode(vocab, list(seq.ids)) == text
 
-
-def test_vocab_file_round_trip(tmp_path):
-    vocab = tok.build_vocab(["the cat sat on the mat"], max_size=50)
-    path = tmp_path / "vocab.txt"
-    tok.save_vocab(vocab, path)
-    loaded = tok.load_vocab(path)
-    assert loaded == vocab
-    assert path.read_text().splitlines()[:4] == list(tok.SPECIALS)

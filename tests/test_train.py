@@ -12,7 +12,7 @@ from sentsimp.train import (Checkpoint, CheckpointFormatError, EpochRecord, Trai
                             load_checkpoint, model_from_checkpoint, onecycle_lr,
                             save_checkpoint, train_loop)
 from sentsimp.tokenizer import build_vocab
-from sentsimp.decoding import DecodeConfig, greedy_decode
+from sentsimp.decoding import DecodeConfig, simplify
 
 from conftest import (make_toy_pairs, random_batch, tokenized_batches, toy_model_config,
                       toy_vocab)
@@ -234,5 +234,4 @@ class TestCheckpointIO:
         restored = model_from_checkpoint(load_checkpoint(path))
         cfg = DecodeConfig(max_len=16)
         source = "the perspicacious cat saw the tree"
-        assert greedy_decode(restored, vocab, source, cfg) == \
-            greedy_decode(model, vocab, source, cfg)
+        assert simplify(restored, vocab, source, cfg) == simplify(model, vocab, source, cfg)
