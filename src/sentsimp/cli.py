@@ -141,10 +141,15 @@ def cmd_simplify(args) -> int:
                               beam_width=args.beam_width)
     with open(args.input, encoding="utf-8") as f:
         lines = [line.rstrip("\r\n") for line in f]
-    with open(args.output, "w", encoding="utf-8") as f:
-        for line in lines:
-            out = simplify(model, ckpt.vocab, line, decode_cfg) if line.strip() else ""
-            f.write(out + "\n")
+    tmp = f"{args.output}.{os.getpid()}.tmp"  # renamed onto --output once all lines decode
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            for line in lines:
+                f.write((simplify(model, ckpt.vocab, line, decode_cfg) if line.strip() else "") + "\n")
+        os.replace(tmp, args.output)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
     return EXIT_OK
 
 

@@ -2,10 +2,11 @@
 
 `simplify` decodes one sentence with the configured strategy;
 `greedy_decode_batch` decodes many sentences greedily in one padded batch.
-The search cores `greedy_ids` and `beam_ids` work over a step function
-mapping token-id prefixes to next-token logits, so they can be exercised
-against hand-built distributions as well as real models. Ties always
-resolve to the lowest token id.
+Both encode once, then feed each step's new tokens alone through a
+`DecoderCache`, over untracked parameters so no autodiff tape is recorded.
+The search cores `greedy_ids` and `beam_ids` map a step's live prefixes to
+next-token logits [rows, V] with one call, so they can be exercised against
+hand-built distributions as well as real models. Ties resolve to the lowest id.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Model, decoder_logits, encode_source
+from .model import DecoderCache, Model, decoder_logits, encode_source
+from .tensor import Tensor
 from .tokenizer import Vocabulary, decode as decode_ids, encode
 
 STRATEGIES = ("greedy", "beam")
@@ -37,35 +39,47 @@ class DecodeConfig:
             raise ValueError("max_len must be >= 3")
 
 
-def _decode_cap(model: Model, cfg: DecodeConfig) -> int:
-    """Generation cap: the decode limit, never beyond the model's positions."""
-    return min(cfg.max_len, model.config.max_len)
-
-
-def _model_step_fn(model: Model, vocab: Vocabulary, source: str, cfg: DecodeConfig):
-    """Encode the source once; return prefixes -> next-token logits."""
-    seq = encode(vocab, source, _decode_cap(model, cfg))
-    src_ids = np.asarray([seq.ids], dtype=np.int64)
-    src_mask = np.ones_like(src_ids, dtype=bool)
+def _cached_step(model: Model, vocab: Vocabulary, sources: list[str], cfg: DecodeConfig):
+    """Encode the sources as one padded batch; return the step over them and the length
+    cap, which never exceeds the model's positions. Each prefix extends by one token row
+    rows[i] of the previous call, or if rows is None the row whose prefix was prefix[:-1]."""
+    cap = min(cfg.max_len, model.config.max_len)
+    model = Model(model.config, {n: Tensor(p.data) for n, p in model.params.items()}, set())
+    encoded = [encode(vocab, s, cap).ids for s in sources]
+    width = max(len(ids) for ids in encoded)
+    src_ids = np.asarray([ids + (vocab.pad_id,) * (width - len(ids)) for ids in encoded])
+    src_mask = np.arange(width) < np.asarray([len(ids) for ids in encoded])[:, None]
     enc_out = encode_source(model, src_ids, src_mask)
+    cache, previous = DecoderCache(), []
 
-    def step(prefix: list[int]) -> np.ndarray:
-        tgt = np.asarray([prefix], dtype=np.int64)
-        logits = decoder_logits(model, enc_out, src_mask, tgt, np.ones_like(tgt, dtype=bool))
-        return logits.data[0, -1]
+    def step(prefixes, rows=None) -> np.ndarray:
+        if cache.length:
+            rows = [previous.index(tuple(p[:-1])) for p in prefixes] if rows is None else rows
+            cache.select(np.asarray(rows, dtype=np.int64))
+        previous[:] = [tuple(p) for p in prefixes]
+        tgt = np.asarray([p[-1:] for p in prefixes], dtype=np.int64)
+        return decoder_logits(model, enc_out, src_mask, tgt, np.ones_like(tgt, dtype=bool),
+                              cache=cache).data[:, -1]
 
-    return step
+    return step, cap
+
+
+def _greedy_rows(step_fn, n_rows: int, bos_id: int, eos_id: int, max_len: int) -> list[list[int]]:
+    """Argmax chains from bos, each until its eos or the length cap; finished rows drop out."""
+    prefixes = [[bos_id] for _ in range(n_rows)]
+    live, rows = list(range(n_rows)), None
+    while live and len(prefixes[live[0]]) < max_len:
+        nxt = np.argmax(step_fn([prefixes[i] for i in live], rows), axis=-1)
+        for i, tok in zip(live, nxt):
+            prefixes[i].append(int(tok))
+        rows = [r for r, tok in enumerate(nxt) if tok != eos_id]
+        live = [live[r] for r in rows]
+    return prefixes
 
 
 def greedy_ids(step_fn, bos_id: int, eos_id: int, max_len: int) -> list[int]:
     """Argmax chain from bos until eos or the length cap."""
-    ids = [bos_id]
-    while len(ids) < max_len:
-        nxt = int(np.argmax(step_fn(ids)))
-        ids.append(nxt)
-        if nxt == eos_id:
-            break
-    return ids
+    return _greedy_rows(step_fn, 1, bos_id, eos_id, max_len)[0]
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -74,13 +88,16 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def beam_ids(step_fn, bos_id: int, eos_id: int, max_len: int, beam_width: int) -> list[int]:
-    """Beam search for the highest total log-probability; beams reaching eos are retired."""
+    """Beam search for the highest total log-probability; beams reaching eos are retired,
+    and the search ends once a retired beam beats every live one."""
     active: list[tuple[float, tuple[int, ...]]] = [(0.0, (bos_id,))]
     finished: list[tuple[float, tuple[int, ...]]] = []
     while active and len(active[0][1]) < max_len:
+        if finished and max(score for score, _ in finished) > active[0][0]:
+            break  # log-probabilities are <= 0, so no live beam can still win
         candidates = []
-        for score, ids in active:
-            logp = _log_softmax(step_fn(list(ids)))
+        for (score, ids), logits in zip(active, step_fn([ids for _, ids in active])):
+            logp = _log_softmax(logits)
             top = np.argsort(-logp, kind="stable")[:beam_width]
             for tok in top:
                 candidates.append((score + float(logp[tok]), ids + (int(tok),)))
@@ -100,8 +117,7 @@ def beam_ids(step_fn, bos_id: int, eos_id: int, max_len: int, beam_width: int) -
 
 def simplify(model: Model, vocab: Vocabulary, source: str, cfg: DecodeConfig) -> str:
     """Decode one sentence with cfg.strategy."""
-    step = _model_step_fn(model, vocab, source, cfg)
-    cap = _decode_cap(model, cfg)
+    step, cap = _cached_step(model, vocab, [source], cfg)
     if cfg.strategy == "beam":
         ids = beam_ids(step, vocab.bos_id, vocab.eos_id, cap, cfg.beam_width)
     else:
@@ -111,31 +127,10 @@ def simplify(model: Model, vocab: Vocabulary, source: str, cfg: DecodeConfig) ->
 
 def greedy_decode_batch(model: Model, vocab: Vocabulary, sources: list[str],
                         cfg: DecodeConfig) -> list[str]:
-    """Greedy decoding of many sentences in one padded batch.
-
-    Produces exactly the per-sentence greedy output; padded source
-    positions are masked out of cross-attention, and each row stops
-    independently at its own eos.
-    """
+    """Greedy decoding of many sentences in one padded batch: exactly the per-sentence
+    output, with padded source positions masked out and each row leaving at its eos."""
     if not sources:
         return []
-    cap = _decode_cap(model, cfg)
-    encoded = [encode(vocab, s, cap).ids for s in sources]
-    width = max(len(ids) for ids in encoded)
-    src_ids = np.full((len(sources), width), vocab.pad_id, dtype=np.int64)
-    src_mask = np.zeros_like(src_ids, dtype=bool)
-    for i, ids in enumerate(encoded):
-        src_ids[i, : len(ids)] = ids
-        src_mask[i, : len(ids)] = True
-    enc_out = encode_source(model, src_ids, src_mask)
-
-    prefixes = np.full((len(sources), 1), vocab.bos_id, dtype=np.int64)
-    done = np.zeros(len(sources), dtype=bool)
-    while prefixes.shape[1] < cap and not done.all():
-        logits = decoder_logits(model, enc_out, src_mask, prefixes,
-                                np.ones_like(prefixes, dtype=bool))
-        nxt = np.argmax(logits.data[:, -1, :], axis=-1)
-        nxt = np.where(done, vocab.eos_id, nxt)
-        prefixes = np.concatenate([prefixes, nxt[:, None]], axis=1)
-        done |= nxt == vocab.eos_id
-    return [decode_ids(vocab, list(row)) for row in prefixes]
+    step, cap = _cached_step(model, vocab, sources, cfg)
+    return [decode_ids(vocab, ids)
+            for ids in _greedy_rows(step, len(sources), vocab.bos_id, vocab.eos_id, cap)]

@@ -6,6 +6,9 @@ always causal self-attention plus cross-attention over the encoder output,
 so `bert+gpt2` and `gpt2+bert` are aliases of `bert` and `gpt2`. At paper
 scale the vocabulary size follows the encoder side. Residual +
 post-layer-norm around every sublayer.
+
+Training feeds `decoder_logits` the whole target prefix; decoding runs
+the same layer loop incrementally, feeding only new tokens with a cache.
 """
 
 from __future__ import annotations
@@ -97,6 +100,30 @@ class Model:
         return list(self.params.values())
 
 
+class DecoderCache:
+    """Keys and values per decoder attention sublayer for the rows being decoded: cross
+    ones projected once, self ones grown each call by copying, which cuts the autodiff
+    tape, so use it only over untracked parameters (`Tensor(p.data)`)."""
+
+    def __init__(self):
+        self.length = 0
+        self.kv: dict[str, tuple[Tensor, Tensor]] = {}
+        self.tgt_pad_mask = self.cross_mask = None
+
+    def append(self, name: str, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+        if name in self.kv:
+            k, v = (Tensor(np.concatenate([old.data, new.data], axis=2))
+                    for old, new in zip(self.kv[name], (k, v)))
+        self.kv[name] = (k, v)
+        return k, v
+
+    def select(self, rows: np.ndarray) -> None:
+        """Keep the given rows in the given order: beam parents, unfinished rows."""
+        self.kv = {name: (Tensor(k.data[rows]), Tensor(v.data[rows]))
+                   for name, (k, v) in self.kv.items()}
+        self.tgt_pad_mask, self.cross_mask = self.tgt_pad_mask[rows], self.cross_mask[rows]
+
+
 def _attn_param_names(prefix: str):
     for part in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo"):
         yield f"{prefix}.{part}"
@@ -179,13 +206,17 @@ def _merge_heads(x: Tensor) -> Tensor:
     return T.reshape(T.transpose(x, (0, 2, 1, 3)), (b, length, h * d_h))
 
 
-def _mha(model: Model, prefix: str, x_q: Tensor, x_kv: Tensor, mask: np.ndarray) -> Tensor:
-    p = model.params
-    h = model.config.n_heads
+def _kv(model: Model, prefix: str, x: Tensor) -> tuple[Tensor, Tensor]:
+    p, h = model.params, model.config.n_heads
+    return tuple(_split_heads(T.add(T.matmul(x, p[f"{prefix}.w{part}"]), p[f"{prefix}.b{part}"]), h)
+                 for part in "kv")
+
+
+def _mha(model: Model, prefix: str, x_q: Tensor, kv: tuple[Tensor, Tensor],
+         mask: np.ndarray) -> Tensor:
+    p, h = model.params, model.config.n_heads
     q = _split_heads(T.add(T.matmul(x_q, p[f"{prefix}.wq"]), p[f"{prefix}.bq"]), h)
-    k = _split_heads(T.add(T.matmul(x_kv, p[f"{prefix}.wk"]), p[f"{prefix}.bk"]), h)
-    v = _split_heads(T.add(T.matmul(x_kv, p[f"{prefix}.wv"]), p[f"{prefix}.bv"]), h)
-    out = _merge_heads(attention(q, k, v, mask))
+    out = _merge_heads(attention(q, *kv, mask))
     return T.add(T.matmul(out, p[f"{prefix}.wo"]), p[f"{prefix}.bo"])
 
 
@@ -203,24 +234,15 @@ def _sublayer(model: Model, ln_prefix: str, x: Tensor, out: Tensor,
 
 
 def _self_mask(pad_mask: np.ndarray, causal: bool) -> np.ndarray:
-    """[B, 1, L, L] key-validity mask from [B, L] padding, optionally causal."""
-    b, length = pad_mask.shape
-    mask = np.broadcast_to(pad_mask[:, None, None, :], (b, 1, length, length))
-    if causal:
-        tri = np.tril(np.ones((length, length), dtype=bool))
-        mask = mask & tri[None, None, :, :]
-    return mask
+    """[B, 1, 1 or L, L] key-validity mask from [B, L] padding, optionally causal."""
+    mask = pad_mask[:, None, None, :]
+    return mask & np.tril(np.ones((pad_mask.shape[1],) * 2, dtype=bool)) if causal else mask
 
 
-def _cross_mask(src_pad_mask: np.ndarray, tgt_len: int) -> np.ndarray:
-    b, src_len = src_pad_mask.shape
-    return np.broadcast_to(src_pad_mask[:, None, None, :], (b, 1, tgt_len, src_len))
-
-
-def _embed(model: Model, side: str, ids: np.ndarray, train: bool, rng) -> Tensor:
+def _embed(model: Model, side: str, ids: np.ndarray, train: bool, rng, start: int = 0) -> Tensor:
     p = model.params
     tok = T.embedding(p[f"{side}.tok_emb"], ids)
-    pos = T.embedding(p[f"{side}.pos_emb"], np.arange(ids.shape[1]))
+    pos = T.embedding(p[f"{side}.pos_emb"], np.arange(start, start + ids.shape[1]))
     return T.dropout(T.add(tok, pos), model.config.dropout_rate, rng, train)
 
 
@@ -232,24 +254,35 @@ def encode_source(model: Model, src_ids: np.ndarray, src_pad_mask: np.ndarray,
     x = _embed(model, "enc", src_ids, train, rng)
     mask = _self_mask(src_pad_mask, causal=cfg.encoder_masking == CAUSAL)
     for i in range(cfg.n_layers):
-        x = _sublayer(model, f"enc.{i}.ln1", x, _mha(model, f"enc.{i}.attn", x, x, mask), train, rng)
+        attn = _mha(model, f"enc.{i}.attn", x, _kv(model, f"enc.{i}.attn", x), mask)
+        x = _sublayer(model, f"enc.{i}.ln1", x, attn, train, rng)
         x = _sublayer(model, f"enc.{i}.ln2", x, _ffn(model, f"enc.{i}.ff", x), train, rng)
     return x
 
 
 def decoder_logits(model: Model, enc_out: Tensor, src_pad_mask: np.ndarray,
                    tgt_in_ids: np.ndarray, tgt_pad_mask: np.ndarray,
-                   train: bool = False, rng=None) -> Tensor:
+                   train: bool = False, rng=None, cache: DecoderCache | None = None) -> Tensor:
+    """Logits [B, Lt, V] for tgt_in_ids: the whole target prefix, or with a cache only the tokens
+    after its `length` decoded ones (enc_out and src_pad_mask are read on its first call only)."""
     cfg = model.config
-    if tgt_in_ids.shape[1] > cfg.max_len:
-        raise ValueError(f"target length {tgt_in_ids.shape[1]} exceeds max_len {cfg.max_len}")
-    x = _embed(model, "dec", tgt_in_ids, train, rng)
-    self_mask = _self_mask(tgt_pad_mask, causal=True)
-    cross_mask = _cross_mask(src_pad_mask, tgt_in_ids.shape[1])
+    cache = DecoderCache() if cache is None else cache
+    start, new = cache.length, tgt_in_ids.shape[1]
+    if start + new > cfg.max_len:
+        raise ValueError(f"target length {start + new} exceeds max_len {cfg.max_len}")
+    if start == 0:
+        cache.tgt_pad_mask, cache.cross_mask = tgt_pad_mask[:, :0], src_pad_mask[:, None, None, :]
+        cache.kv = {f"dec.{i}.cross": _kv(model, f"dec.{i}.cross", enc_out) for i in range(cfg.n_layers)}
+    cache.tgt_pad_mask = np.concatenate([cache.tgt_pad_mask, tgt_pad_mask], axis=1)
+    self_mask = _self_mask(cache.tgt_pad_mask, causal=True)[:, :, start:]
+    x = _embed(model, "dec", tgt_in_ids, train, rng, start)
     for i in range(cfg.n_layers):
-        x = _sublayer(model, f"dec.{i}.ln1", x, _mha(model, f"dec.{i}.self", x, x, self_mask), train, rng)
-        x = _sublayer(model, f"dec.{i}.ln2", x, _mha(model, f"dec.{i}.cross", x, enc_out, cross_mask), train, rng)
+        self_kv = cache.append(f"dec.{i}.self", *_kv(model, f"dec.{i}.self", x))
+        x = _sublayer(model, f"dec.{i}.ln1", x, _mha(model, f"dec.{i}.self", x, self_kv, self_mask), train, rng)
+        cross = _mha(model, f"dec.{i}.cross", x, cache.kv[f"dec.{i}.cross"], cache.cross_mask)
+        x = _sublayer(model, f"dec.{i}.ln2", x, cross, train, rng)
         x = _sublayer(model, f"dec.{i}.ln3", x, _ffn(model, f"dec.{i}.ff", x), train, rng)
+    cache.length += new
     return T.add(T.matmul(x, model.params["out.w"]), model.params["out.b"])
 
 

@@ -276,9 +276,15 @@ def _parse_config_text(text: str) -> Checkpoint:
             epoch = int(key[len("history.epoch."):])
             loss, sari, lr = (ast.literal_eval(x) for x in value.split("\t"))
             history.epochs.append(EpochRecord(epoch, loss, sari, lr))
+    if sorted(tokens) != list(range(len(tokens))):
+        raise CheckpointFormatError("checkpoint vocabulary ids are not 0..n-1 without gaps")
     ordered = tuple(tokens[i] for i in range(len(tokens)))
     if ordered[:4] != SPECIALS:
         raise CheckpointFormatError("checkpoint vocabulary lacks the four specials")
+    # Field annotations are the type names int, float and str.
+    bad = [f.name for f in fields(ModelConfig) if type(cfg_kwargs.get(f.name)).__name__ != f.type]
+    if bad:
+        raise CheckpointFormatError(f"checkpoint config lacks or mistypes {bad}")
     vocab = Vocabulary({tok: i for i, tok in enumerate(ordered)}, ordered)
     return Checkpoint(ModelConfig(**cfg_kwargs), vocab, {}, history)
 

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from sentsimp import cli
 from sentsimp.cli import main
+from sentsimp.tensor import NonFiniteError
 from sentsimp.train import load_checkpoint, save_checkpoint
 
 from conftest import make_toy_pairs, write_corpus
@@ -123,18 +125,40 @@ class TestSimplify:
         assert "bogus.w" in message or "out.b" in message
 
     # Byte edits of the same length, so the text block's length prefix still holds.
-    @pytest.mark.parametrize("old, new", [
-        (b"config.activation=", b"config.activatiox="),
-        (b"config.dropout_rate=0.0", b"config.dropout_rate=0.)"),
-    ], ids=["unknown_key", "not_a_literal"])
-    def test_corrupt_config_block_exits_2(self, old, new, trained_run, corpus_dir,
+    @pytest.mark.parametrize("old, new, named", [
+        (b"config.activation=", b"config.activatiox=", "config.activatiox"),
+        (b"config.dropout_rate=0.0", b"config.dropout_rate=0.)", "config.dropout_rate"),
+        (b"config.d_model=", b"xonfig.d_model=", "d_model"),
+        (b"config.d_model=64", b"config.d_model=''", "d_model"),
+        (b"vocab.5=", b"vocxb.5=", "vocabulary"),
+    ], ids=["unknown_key", "not_a_literal", "missing_key", "wrong_type", "vocab_gap"])
+    def test_corrupt_config_block_exits_2(self, old, new, named, trained_run, corpus_dir,
                                           tmp_path, capsys):
         raw = (trained_run / "checkpoint.bin").read_bytes()
         assert raw.count(old) == 1
         path = tmp_path / "edited.bin"
         path.write_bytes(raw.replace(old, new))
         message = self.simplify_error(path, corpus_dir, tmp_path, capsys)
-        assert new.split(b"=")[0].decode() in message
+        assert named in message
+
+    def test_failure_midway_writes_no_output(self, trained_run, corpus_dir, tmp_path,
+                                             monkeypatch):
+        decoded = []
+
+        def simplify(*args):
+            decoded.append(args)
+            if len(decoded) == 2:
+                raise NonFiniteError("operation produced a non-finite value")
+            return "ok"
+
+        monkeypatch.setattr(cli, "simplify", simplify)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert main(["simplify", "--checkpoint", str(trained_run / "checkpoint.bin"),
+                     "--input", str(corpus_dir / "test.src"),
+                     "--output", str(out_dir / "sys.txt")]) == 1
+        assert len(decoded) == 2
+        assert list(out_dir.iterdir()) == []
 
 
 @pytest.fixture(scope="module")

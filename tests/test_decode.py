@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from sentsimp.decoding import (DecodeConfig, _model_step_fn, beam_ids, greedy_decode_batch,
+from sentsimp import tensor
+from sentsimp.decoding import (DecodeConfig, _cached_step, beam_ids, greedy_decode_batch,
                                greedy_ids, simplify)
-from sentsimp.model import init_model
-from sentsimp.tokenizer import build_vocab, decode
+from sentsimp.model import DecoderCache, decoder_logits, encode_source, init_model
+from sentsimp.tensor import Tensor
+from sentsimp.tokenizer import build_vocab, decode, encode
 
 from conftest import make_toy_pairs, toy_model_config, toy_vocab
 
@@ -19,6 +21,24 @@ def table_step_fn(table, vocab_size):
     def step(prefix):
         probs = table[tuple(prefix)]
         return np.log(np.asarray(probs))
+    return step
+
+
+def batched(step):
+    """A one-prefix step (prefix -> logits [V]) as a search step (prefixes -> [rows, V])."""
+    return lambda prefixes, rows=None: np.stack([step(p) for p in prefixes])
+
+
+def full_step(model, vocab, source, max_len):
+    """prefix -> next-token logits, recomputing the decoder over the whole prefix."""
+    src = np.asarray([encode(vocab, source, max_len).ids])
+    mask = np.ones_like(src, dtype=bool)
+    enc_out = encode_source(model, src, mask)
+
+    def step(prefix):
+        tgt = np.asarray([prefix])
+        return decoder_logits(model, enc_out, mask, tgt, np.ones_like(tgt, dtype=bool)).data[0, -1]
+
     return step
 
 
@@ -44,16 +64,16 @@ class TestDecodeConfig:
 
 class TestGreedyCore:
     def test_immediate_eos_gives_empty(self):
-        step = lambda prefix: np.array([0.0, 0.0, 10.0, 0.0])
+        step = batched(lambda prefix: np.array([0.0, 0.0, 10.0, 0.0]))
         assert greedy_ids(step, BOS, EOS, max_len=10) == [BOS, EOS]
 
     def test_tie_breaks_to_lowest_id(self):
-        step = lambda prefix: np.zeros(4)
+        step = batched(lambda prefix: np.zeros(4))
         ids = greedy_ids(step, BOS, EOS, max_len=10)
         assert ids[1] == 0
 
     def test_length_cap(self):
-        step = lambda prefix: np.array([0.0, 0.0, 0.0, 5.0])  # never eos
+        step = batched(lambda prefix: np.array([0.0, 0.0, 0.0, 5.0]))  # never eos
         ids = greedy_ids(step, BOS, EOS, max_len=7)
         assert len(ids) == 7
 
@@ -97,15 +117,26 @@ class TestBeamCore:
 
     def test_beam_finds_better_sequence_than_greedy(self):
         step = self.step()
-        greedy = greedy_ids(step, BOS, EOS, max_len=4)
-        beam = beam_ids(step, BOS, EOS, max_len=4, beam_width=4)
+        greedy = greedy_ids(batched(step), BOS, EOS, max_len=4)
+        beam = beam_ids(batched(step), BOS, EOS, max_len=4, beam_width=4)
         want, want_score = self.exhaustive_best(max_len=4)
         assert beam == want
         assert greedy != want
         assert sequence_logprob(step, beam) > sequence_logprob(step, greedy)
 
+    def test_search_stops_once_a_finished_beam_wins(self):
+        calls = []
+
+        def step(prefix):  # off the table every continuation is diffuse and never eos
+            calls.append(prefix)
+            return np.log(np.asarray(self.TABLE.get(tuple(prefix), [0.25, 0.0, 0.0, 0.5, 0.25]))
+                          + 1e-12)
+
+        assert beam_ids(batched(step), BOS, EOS, max_len=80, beam_width=2) == [BOS, 4, EOS]
+        assert len(calls) == 3  # bos, then its two beams; no live beam can beat [BOS, 4, EOS]
+
     def test_beam_width_one_equals_greedy(self):
-        step = self.step()
+        step = batched(self.step())
         assert beam_ids(step, BOS, EOS, 4, beam_width=1) == greedy_ids(step, BOS, EOS, 4)
 
 
@@ -129,9 +160,11 @@ class TestAgainstRandomModels:
         for seed in range(20):
             model, vocab = self.make(seed)
             source = "the dog ate the fish"
-            step = _model_step_fn(model, vocab, source, cfg)
-            g = greedy_ids(step, vocab.bos_id, vocab.eos_id, cfg.max_len)
-            b = beam_ids(step, vocab.bos_id, vocab.eos_id, cfg.max_len, 4)
+            g = greedy_ids(_cached_step(model, vocab, [source], cfg)[0],
+                           vocab.bos_id, vocab.eos_id, cfg.max_len)
+            b = beam_ids(_cached_step(model, vocab, [source], cfg)[0],
+                         vocab.bos_id, vocab.eos_id, cfg.max_len, 4)
+            step = full_step(model, vocab, source, cfg.max_len)
             assert sequence_logprob(step, b) >= sequence_logprob(step, g) - 1e-12
 
     def test_decoding_deterministic(self):
@@ -161,8 +194,85 @@ class TestAgainstRandomModels:
         src = "the cat ate the sun"
         greedy = DecodeConfig(max_len=10)
         beam = DecodeConfig(max_len=10, strategy="beam", beam_width=3)
-        step = _model_step_fn(model, vocab, src, greedy)
+        step, _ = _cached_step(model, vocab, [src], greedy)
         assert simplify(model, vocab, src, greedy) == \
             decode(vocab, greedy_ids(step, vocab.bos_id, vocab.eos_id, 10))
+        step, _ = _cached_step(model, vocab, [src], greedy)
         assert simplify(model, vocab, src, beam) == \
             decode(vocab, beam_ids(step, vocab.bos_id, vocab.eos_id, 10, 3))
+
+
+@pytest.mark.parametrize("masking", ["bidirectional", "causal"])
+class TestDecoderCache:
+    def model(self, masking, seed=0):
+        return init_model(toy_model_config(30, masking=masking, max_len=12), seed)
+
+    def test_cached_logits_match_full_recompute(self, masking):
+        """A padded batch of mixed-length sources, its rows reordered, repeated and dropped."""
+        rng = np.random.default_rng(1)
+        model = self.model(masking)
+        lengths = [3, 9, 5, 7]
+        src = np.zeros((4, 9), dtype=np.int64)
+        src_mask = np.arange(9) < np.asarray(lengths)[:, None]
+        src[src_mask] = rng.integers(4, 30, size=int(src_mask.sum()))
+        enc_out = encode_source(model, src, src_mask)
+        cache, tgt, rows = DecoderCache(), np.ones((4, 1), dtype=np.int64), np.arange(4)
+        for t in range(11):
+            if t:
+                pick = rng.integers(0, len(rows), size=max(1, len(rows) - t % 2))
+                cache.select(pick)
+                rows, tgt = rows[pick], np.concatenate(
+                    [tgt[pick], rng.integers(4, 30, size=(len(pick), 1))], axis=1)
+            new = tgt[:, -1:]
+            got = decoder_logits(model, enc_out, src_mask, new, np.ones_like(new, dtype=bool),
+                                 cache=cache).data[:, 0]
+            want = decoder_logits(model, Tensor(enc_out.data[rows]), src_mask[rows], tgt,
+                                  np.ones_like(tgt, dtype=bool)).data[:, -1]
+            assert cache.length == tgt.shape[1]
+            assert np.abs(got - want).max() < 1e-10
+
+    def test_beam_run_matches_full_recompute(self, masking):
+        pairs = make_toy_pairs(4, seed=2)
+        vocab = toy_vocab(pairs)
+        model = init_model(toy_model_config(vocab.size, masking=masking, max_len=12), 3)
+        source = "the grandiloquent cat saw the dog"
+        cfg = DecodeConfig(max_len=12)
+        step, cap = _cached_step(model, vocab, [source], cfg)
+        full = full_step(model, vocab, source, cap)
+        previous, reorders = [], []
+
+        def checked(prefixes):
+            got = step(prefixes)
+            want = np.stack([full(list(p)) for p in prefixes])
+            assert np.abs(got - want).max() < 1e-10
+            if previous:
+                rows = [previous.index(tuple(p[:-1])) for p in prefixes]
+                reorders.append(rows != list(range(len(rows))))
+            previous[:] = [tuple(p) for p in prefixes]
+            return got
+
+        ids = beam_ids(checked, vocab.bos_id, vocab.eos_id, cap, beam_width=4)
+        assert ids == beam_ids(batched(full), vocab.bos_id, vocab.eos_id, cap, beam_width=4)
+        assert len(reorders) > 2 and any(reorders)
+
+
+def test_decoding_records_no_tape(monkeypatch):
+    """Every op still runs through _result (and its finite check), but none is tracked."""
+    pairs = make_toy_pairs(4, seed=0)
+    vocab = toy_vocab(pairs)
+    model = init_model(toy_model_config(vocab.size, max_len=10), 0)
+    outputs = []
+    result = tensor._result
+
+    def spy(data, parents, backward_fn):
+        out = result(data, parents, backward_fn)
+        outputs.append(out)
+        return out
+
+    monkeypatch.setattr(tensor, "_result", spy)
+    sources = [s for s, _ in pairs]
+    greedy_decode_batch(model, vocab, sources, DecodeConfig(max_len=10))
+    simplify(model, vocab, sources[0], DecodeConfig(max_len=10, strategy="beam"))
+    assert outputs
+    assert not any(t.requires_grad or t._parents or t._backward_fn for t in outputs)
+    assert all(p.requires_grad for p in model.parameters())
