@@ -18,9 +18,8 @@ from . import sari as S
 from . import tokenizer as tok
 from .decoding import STRATEGIES, DecodeConfig, simplify
 from .model import VARIANTS, init_model, variant_config
-from .train import (CheckpointFormatError, TrainConfig, TrainingDivergedError,
-                    history_tsv, load_checkpoint, model_from_checkpoint, save_checkpoint,
-                    train_loop)
+from .train import (TrainConfig, TrainingDivergedError, history_tsv, load_checkpoint,
+                    model_from_checkpoint, save_checkpoint, train_loop)
 from .tensor import NonFiniteError
 
 log = logging.getLogger(__name__)
@@ -60,10 +59,18 @@ def _read_config_file(path) -> dict[str, str]:
 
 
 def _effective(args: argparse.Namespace, defaults: dict) -> dict:
-    """defaults < config file < explicit flags."""
+    """defaults < config file < explicit flags.
+
+    The file may hold the keys of `defaults` plus `out`, which is what
+    config.resolved records, so a resolved file replays its run.
+    """
     merged = dict(defaults)
     if getattr(args, "config", None):
-        merged.update(_read_config_file(args.config))
+        values = _read_config_file(args.config)
+        unknown = sorted(set(values) - set(defaults) - {"out"})
+        if unknown:
+            raise ValueError(f"unknown keys in config file {args.config}: {unknown}")
+        merged.update(values)
     for key in defaults:
         flag = getattr(args, key.replace(".", "_"), None)
         if flag is not None:
@@ -72,7 +79,6 @@ def _effective(args: argparse.Namespace, defaults: dict) -> dict:
 
 
 def _write_resolved(out_dir, settings: dict) -> None:
-    os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config.resolved"), "w", encoding="utf-8") as f:
         for key in sorted(settings):
             f.write(f"{key}={settings[key]}\n")
@@ -95,6 +101,7 @@ TRAIN_DEFAULTS = {
 def cmd_train(args) -> int:
     cfg = _effective(args, TRAIN_DEFAULTS)
     out_dir = args.out
+    os.makedirs(out_dir, exist_ok=True)  # fails fast, not after training
     train_examples = C.load_parallel(args.train_src, args.train_tgt)
     if not train_examples:
         raise C.CorpusFormatError("training corpus is empty after filtering")
@@ -291,7 +298,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, C.CorpusFormatError, CheckpointFormatError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # file-system errors; bad input, format errors too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (NonFiniteError, TrainingDivergedError) as exc:

@@ -40,10 +40,12 @@ class ModelConfig:
     vocab_size: int
     max_len: int = 80
     encoder_masking: str = BIDIRECTIONAL
-    activation: str = "gelu"
     dropout_rate: float = 0.0
 
     def __post_init__(self):
+        for name in ("d_model", "n_heads", "n_layers", "d_ff", "vocab_size"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.max_len < 3:
@@ -52,8 +54,6 @@ class ModelConfig:
             raise ValueError("dropout_rate must lie in [0, 1)")
         if self.encoder_masking not in (BIDIRECTIONAL, CAUSAL):
             raise ValueError(f"unknown encoder masking {self.encoder_masking!r}")
-        if self.activation != "gelu":
-            raise ValueError(f"unsupported activation {self.activation!r}")
 
 
 # Paper name -> the wiring it runs. The decoder is the same for every name,

@@ -71,10 +71,6 @@ def _result(data: np.ndarray, parents: Sequence[Tensor], backward_fn: Callable) 
     return out
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-
-
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a gradient down to the shape it was broadcast from."""
     while g.ndim > len(shape):
@@ -85,22 +81,11 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
 
     def bw(g):
         return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
-
-    return _result(out, (a, b), bw)
-
-
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = a.data * b.data
-
-    def bw(g):
-        return _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)
 
     return _result(out, (a, b), bw)
 
@@ -146,15 +131,6 @@ def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
         return (np.transpose(g, inverse),)
 
     return _result(out, (a,), bw)
-
-
-def tensor_sum(a: Tensor) -> Tensor:
-    out = a.data.sum()
-
-    def bw(g):
-        return (np.full(a.data.shape, g, dtype=np.float64),)
-
-    return _result(np.asarray(out), (a,), bw)
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:

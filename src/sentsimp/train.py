@@ -1,14 +1,17 @@
 """Teacher-forced training: AdamW, one-cycle LR, early stopping on SARI.
 
-The checkpoint file is a small binary format: magic "SSCK", a version
-integer, a length-prefixed key=value text block (config, vocabulary,
-history), then one record per parameter tensor with its name, shape, and
-little-endian float64 payload.
+The checkpoint file is the magic "SSCK", then a little-endian uint32
+version (2) and uint64 header length, then a UTF-8 JSON header
+{"config", "vocab", "history", "params": {name: shape}}, then each
+parameter's little-endian float64 bytes in header order. Version 1 files
+are rejected; retrain to get a version 2 checkpoint.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field, fields, asdict
 
@@ -22,7 +25,9 @@ from .tokenizer import Vocabulary, SPECIALS
 from .tensor import NonFiniteError
 
 CHECKPOINT_MAGIC = b"SSCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+_PREFIX = struct.Struct("<4sIQ")  # magic, version, header length
+_HEADER = {"config": dict, "vocab": list, "history": dict, "params": dict}  # key -> JSON type
 
 
 class TrainingDivergedError(ArithmeticError):
@@ -231,113 +236,78 @@ def history_tsv(history: TrainHistory) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _config_text(ckpt: Checkpoint) -> str:
-    lines = []
-    for key, value in asdict(ckpt.config).items():
-        lines.append(f"config.{key}={value!r}")
-    for i, tok in enumerate(ckpt.vocab.id_to_token):
-        lines.append(f"vocab.{i}={tok}")
-    h = ckpt.history
-    lines.append(f"history.best_epoch={h.best_epoch}")
-    lines.append(f"history.stopped_early={h.stopped_early}")
-    for rec in h.epochs:
-        lines.append(
-            f"history.epoch.{rec.epoch}={rec.train_loss!r}\t{rec.valid_sari!r}\t{rec.lr!r}"
-        )
-    return "\n".join(lines)
-
-
-def _parse_config_text(text: str) -> Checkpoint:
-    import ast
-
-    known = {f.name for f in fields(ModelConfig)}
-    cfg_kwargs: dict = {}
-    tokens: dict[int, str] = {}
-    history = TrainHistory()
-    for line in text.split("\n"):
-        if not line:
-            continue
-        key, _, value = line.partition("=")
-        if key.startswith("config."):
-            field_name = key[len("config."):]
-            if field_name not in known:
-                raise CheckpointFormatError(f"unknown checkpoint config key {key!r}")
-            try:
-                cfg_kwargs[field_name] = ast.literal_eval(value)
-            except (ValueError, SyntaxError) as exc:
-                raise CheckpointFormatError(f"bad value for {key}: {value!r}") from exc
-        elif key.startswith("vocab."):
-            tokens[int(key[len("vocab."):])] = value
-        elif key == "history.best_epoch":
-            history.best_epoch = int(value)
-        elif key == "history.stopped_early":
-            history.stopped_early = value == "True"
-        elif key.startswith("history.epoch."):
-            epoch = int(key[len("history.epoch."):])
-            loss, sari, lr = (ast.literal_eval(x) for x in value.split("\t"))
-            history.epochs.append(EpochRecord(epoch, loss, sari, lr))
-    if sorted(tokens) != list(range(len(tokens))):
-        raise CheckpointFormatError("checkpoint vocabulary ids are not 0..n-1 without gaps")
-    ordered = tuple(tokens[i] for i in range(len(tokens)))
-    if ordered[:4] != SPECIALS:
-        raise CheckpointFormatError("checkpoint vocabulary lacks the four specials")
-    # Field annotations are the type names int, float and str.
-    bad = [f.name for f in fields(ModelConfig) if type(cfg_kwargs.get(f.name)).__name__ != f.type]
-    if bad:
-        raise CheckpointFormatError(f"checkpoint config lacks or mistypes {bad}")
-    vocab = Vocabulary({tok: i for i, tok in enumerate(ordered)}, ordered)
-    return Checkpoint(ModelConfig(**cfg_kwargs), vocab, {}, history)
-
-
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    text = _config_text(ckpt).encode("utf-8")
+    header = json.dumps({
+        "config": asdict(ckpt.config),
+        "vocab": list(ckpt.vocab.id_to_token),
+        "history": asdict(ckpt.history),
+        "params": {name: list(data.shape) for name, data in ckpt.params.items()},
+    }).encode("utf-8")
     with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", CHECKPOINT_VERSION))
-        f.write(struct.pack("<Q", len(text)))
-        f.write(text)
-        f.write(struct.pack("<I", len(ckpt.params)))
-        for name, data in ckpt.params.items():
-            nbytes = name.encode("utf-8")
-            f.write(struct.pack("<I", len(nbytes)))
-            f.write(nbytes)
-            f.write(struct.pack("<I", data.ndim))
-            f.write(struct.pack(f"<{data.ndim}Q", *data.shape))
+        f.write(_PREFIX.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(header)))
+        f.write(header)
+        for data in ckpt.params.values():
             f.write(np.ascontiguousarray(data, dtype="<f8").tobytes())
+
+
+def _parse_header(raw: bytes) -> tuple[Checkpoint, dict[str, tuple[int, ...]]]:
+    """The checkpoint the header describes, without its arrays, and their shapes."""
+    try:
+        header = json.loads(raw)
+    except (ValueError, RecursionError) as exc:
+        raise CheckpointFormatError(f"checkpoint header is not JSON: {exc}") from exc
+    if not (isinstance(header, dict) and header.keys() == _HEADER.keys()
+            and all(isinstance(header[k], t) for k, t in _HEADER.items())):
+        raise CheckpointFormatError("checkpoint header must hold exactly " + ", ".join(
+            f"{k} ({t.__name__})" for k, t in _HEADER.items()))
+    cfg = header["config"]
+    # Field annotations are the type names int, float and str.
+    types = {f.name: f.type for f in fields(ModelConfig)}
+    bad = sorted(k for k in types.keys() | cfg.keys() if type(cfg.get(k)).__name__ != types.get(k))
+    if bad:
+        raise CheckpointFormatError(f"checkpoint config has unknown, missing or mistyped {bad}")
+    try:
+        config = ModelConfig(**cfg)
+    except ValueError as exc:
+        raise CheckpointFormatError(f"bad checkpoint config: {exc}") from exc
+    tokens = header["vocab"]
+    if not all(isinstance(t, str) for t in tokens) or tuple(tokens[:4]) != SPECIALS:
+        raise CheckpointFormatError("checkpoint vocabulary is not strings led by the specials")
+    h = header["history"]
+    try:
+        history = TrainHistory(**{**h, "epochs": [EpochRecord(**r) for r in h["epochs"]]})
+    except (TypeError, KeyError) as exc:
+        raise CheckpointFormatError(f"bad checkpoint history: {exc!r}") from exc
+    shapes = header["params"]
+    if not all(isinstance(s, list) and all(type(d) is int and d >= 0 for d in s)
+               for s in shapes.values()):
+        raise CheckpointFormatError("checkpoint params are not lists of non-negative ints")
+    vocab = Vocabulary({tok: i for i, tok in enumerate(tokens)}, tuple(tokens))
+    return (Checkpoint(config, vocab, {}, history),
+            {name: tuple(s) for name, s in shapes.items()})
 
 
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as f:
-        raw = f.read()
-    view = memoryview(raw)
-    off = 0
-
-    def take(n):
-        nonlocal off
-        if off + n > len(raw):
+        size = os.fstat(f.fileno()).st_size
+        prefix = f.read(_PREFIX.size)
+        if len(prefix) < _PREFIX.size or prefix[:4] != CHECKPOINT_MAGIC:
+            raise CheckpointFormatError(f"not a checkpoint file (short or bad magic): {path}")
+        _, version, header_len = _PREFIX.unpack(prefix)
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointFormatError(f"unsupported checkpoint version {version}")
+        # Sizes are checked against the file before anything is read or allocated.
+        if header_len > size - _PREFIX.size:
             raise CheckpointFormatError(f"truncated checkpoint file: {path}")
-        chunk = view[off:off + n]
-        off += n
-        return chunk
-
-    if bytes(take(4)) != CHECKPOINT_MAGIC:
-        raise CheckpointFormatError(f"not a checkpoint file (bad magic): {path}")
-    (version,) = struct.unpack("<I", take(4))
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointFormatError(f"unsupported checkpoint version {version}")
-    (text_len,) = struct.unpack("<Q", take(8))
-    ckpt = _parse_config_text(bytes(take(text_len)).decode("utf-8"))
-    (n_tensors,) = struct.unpack("<I", take(4))
-    for _ in range(n_tensors):
-        (name_len,) = struct.unpack("<I", take(4))
-        name = bytes(take(name_len)).decode("utf-8")
-        (rank,) = struct.unpack("<I", take(4))
-        shape = struct.unpack(f"<{rank}Q", take(8 * rank))
-        count = int(np.prod(shape, dtype=np.int64)) if rank else 1
-        data = np.frombuffer(take(8 * count), dtype="<f8").reshape(shape).copy()
-        ckpt.params[name] = data
-    if off != len(raw):
-        raise CheckpointFormatError(f"trailing bytes in checkpoint file: {path}")
+        ckpt, shapes = _parse_header(f.read(header_len))
+        expected = _PREFIX.size + header_len + 8 * sum(math.prod(s) for s in shapes.values())
+        if size != expected:
+            problem = "truncated" if size < expected else "trailing bytes in"
+            raise CheckpointFormatError(f"{problem} checkpoint file: {path}")
+        for name, shape in shapes.items():
+            data = ckpt.params[name] = np.empty(shape, dtype="<f8")
+            if f.readinto(data) != data.nbytes:
+                raise CheckpointFormatError(f"truncated checkpoint file: {path}")
     return ckpt
 
 

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from sentsimp import cli
 from sentsimp.cli import main
 from sentsimp.tensor import NonFiniteError
-from sentsimp.train import load_checkpoint, save_checkpoint
+from sentsimp.train import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, load_checkpoint, save_checkpoint
 
 from conftest import make_toy_pairs, write_corpus
 
@@ -31,6 +32,12 @@ def train_args(corpus_dir, out, extra=()):
             "--valid-stem", str(corpus_dir / "valid"),
             "--out", str(out),
             "--epochs", "2", "--seed", "0", *extra]
+
+
+def one_error_line(capsys) -> str:
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    return err[0]
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +85,62 @@ class TestTrain:
         assert "epochs=2" in text
         assert "seed=0" in text
 
+    def test_unknown_config_key_exits_2_before_loading(self, corpus_dir, tmp_path, capsys,
+                                                       monkeypatch):
+        monkeypatch.setattr(cli.C, "load_parallel", lambda *a: pytest.fail("corpus loaded"))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("max-lr=3e-3\n")
+        out = tmp_path / "run"
+        assert main(train_args(corpus_dir, out, extra=["--config", str(cfg)])) == 2
+        assert "max-lr" in one_error_line(capsys)
+        assert not out.exists()
+
+    def test_resolved_config_replays_the_run(self, trained_run, corpus_dir, tmp_path):
+        out = tmp_path / "replay"
+        assert main(["train", "--config", str(trained_run / "config.resolved"),
+                     "--train-src", str(corpus_dir / "train.src"),
+                     "--train-tgt", str(corpus_dir / "train.tgt"),
+                     "--valid-stem", str(corpus_dir / "valid"), "--out", str(out)]) == 0
+        for name in ("checkpoint.bin", "history.tsv"):
+            assert (out / name).read_bytes() == (trained_run / name).read_bytes()
+
+
+PREFIX = struct.Struct("<4sIQ")  # magic, version, header length
+
+
+def join(header, payload: bytes, version=CHECKPOINT_VERSION, length=None) -> bytes:
+    """A checkpoint file from a header (a dict to encode, or raw bytes) and a payload."""
+    text = header if isinstance(header, bytes) else json.dumps(header).encode("utf-8")
+    return PREFIX.pack(CHECKPOINT_MAGIC, version,
+                       len(text) if length is None else length) + text + payload
+
+
+def edited(edit):
+    """A corruption that edits the decoded header in place and re-encodes it."""
+    def build(header, payload):
+        edit(header)
+        return join(header, payload)
+    return build
+
+
+# id -> (build(header, payload) -> file bytes, text the error must name)
+CORRUPT = {
+    "unknown_key": (edited(lambda h: h["config"].update(activation="gelu")), "activation"),
+    "not_json": (lambda h, p: join(b'{"config": ', p), "not JSON"),
+    "missing_key": (edited(lambda h: h["config"].pop("d_model")), "d_model"),
+    "wrong_type": (edited(lambda h: h["config"].update(d_model="64")), "d_model"),
+    "missing_section": (edited(lambda h: h.pop("history")), "exactly"),
+    "extra_section": (edited(lambda h: h.update(variant="bert")), "exactly"),
+    "specials": (edited(lambda h: h["vocab"].reverse()), "specials"),
+    "n_heads_0": (edited(lambda h: h["config"].update(n_heads=0)), "n_heads"),
+    "negative_shape": (edited(lambda h: h["params"].update({"out.b": [-1]})), "non-negative"),
+    "huge_header_length": (lambda h, p: join(h, p, length=2**62), "truncated"),
+    "huge_shape": (edited(lambda h: h["params"].update({"out.b": [2**40, 2**40]})), "truncated"),
+    "trailing_bytes": (lambda h, p: join(h, p + bytes(8)), "trailing"),
+    # The reader stops at the version, so a version 1 prefix stands for a whole v1 file.
+    "v1_file": (lambda h, p: join(h, p, version=1), "version 1"),
+}
+
 
 class TestSimplify:
     def test_line_alignment(self, trained_run, corpus_dir, tmp_path):
@@ -103,12 +166,9 @@ class TestSimplify:
                      "--input", str(bad), "--output", str(tmp_path / "o")]) == 2
 
     def simplify_error(self, ckpt, corpus_dir, tmp_path, capsys) -> str:
-        code = main(["simplify", "--checkpoint", str(ckpt),
-                     "--input", str(corpus_dir / "test.src"), "--output", str(tmp_path / "o")])
-        err = capsys.readouterr().err.splitlines()
-        assert code == 2
-        assert len(err) == 1 and err[0].startswith("error:")
-        return err[0]
+        assert main(["simplify", "--checkpoint", str(ckpt), "--input",
+                     str(corpus_dir / "test.src"), "--output", str(tmp_path / "o")]) == 2
+        return one_error_line(capsys)
 
     @pytest.mark.parametrize("edit", [
         lambda params: params.pop("out.b"),
@@ -124,22 +184,16 @@ class TestSimplify:
         message = self.simplify_error(path, corpus_dir, tmp_path, capsys)
         assert "bogus.w" in message or "out.b" in message
 
-    # Byte edits of the same length, so the text block's length prefix still holds.
-    @pytest.mark.parametrize("old, new, named", [
-        (b"config.activation=", b"config.activatiox=", "config.activatiox"),
-        (b"config.dropout_rate=0.0", b"config.dropout_rate=0.)", "config.dropout_rate"),
-        (b"config.d_model=", b"xonfig.d_model=", "d_model"),
-        (b"config.d_model=64", b"config.d_model=''", "d_model"),
-        (b"vocab.5=", b"vocxb.5=", "vocabulary"),
-    ], ids=["unknown_key", "not_a_literal", "missing_key", "wrong_type", "vocab_gap"])
-    def test_corrupt_config_block_exits_2(self, old, new, named, trained_run, corpus_dir,
-                                          tmp_path, capsys):
+    @pytest.mark.parametrize("case", CORRUPT)
+    def test_corrupt_config_block_exits_2(self, case, trained_run, corpus_dir, tmp_path,
+                                          capsys):
+        build, named = CORRUPT[case]
         raw = (trained_run / "checkpoint.bin").read_bytes()
-        assert raw.count(old) == 1
+        _, _, n = PREFIX.unpack_from(raw)
+        header = json.loads(raw[PREFIX.size:PREFIX.size + n])
         path = tmp_path / "edited.bin"
-        path.write_bytes(raw.replace(old, new))
-        message = self.simplify_error(path, corpus_dir, tmp_path, capsys)
-        assert named in message
+        path.write_bytes(build(header, raw[PREFIX.size + n:]))
+        assert named in self.simplify_error(path, corpus_dir, tmp_path, capsys)
 
     def test_failure_midway_writes_no_output(self, trained_run, corpus_dir, tmp_path,
                                              monkeypatch):
@@ -227,3 +281,30 @@ class TestReport:
         d.mkdir()
         assert main(["report", str(d)]) == 0
         assert "43.30" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("case", ["simplify_output_is_dir", "simplify_input_is_dir",
+                                  "train_out_is_file", "eval_out_is_file",
+                                  "report_out_is_file"])
+def test_file_system_errors_exit_2(case, trained_run, corpus_dir, tmp_path, capsys,
+                                   monkeypatch):
+    monkeypatch.setattr(cli, "train_loop", lambda *a: pytest.fail("train_loop called"))
+    a_file, a_dir = tmp_path / "file", tmp_path / "dir"
+    a_file.write_text("x\n")
+    a_dir.mkdir()
+    (a_dir / "report.json").write_text(json.dumps(
+        {"label": "x", "sari": 1.0, "add": 1.0, "keep": 1.0, "delete": 1.0, "n": 1}))
+    ckpt, test_src = str(trained_run / "checkpoint.bin"), str(corpus_dir / "test.src")
+    argv = {
+        "simplify_output_is_dir": ["simplify", "--checkpoint", ckpt, "--input", test_src,
+                                   "--output", str(a_dir)],
+        "simplify_input_is_dir": ["simplify", "--checkpoint", ckpt, "--input", str(a_dir),
+                                  "--output", str(tmp_path / "o")],
+        "train_out_is_file": train_args(corpus_dir, a_file),
+        "eval_out_is_file": ["eval", "--system", str(corpus_dir / "test.ref.0"),
+                             "--eval-stem", str(corpus_dir / "test"), "--out", str(a_file)],
+        "report_out_is_file": ["report", str(a_dir), "--out", str(a_file)],
+    }[case]
+    assert main(argv) == 2
+    assert str(tmp_path) in one_error_line(capsys)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]

@@ -74,6 +74,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ModelConfig(d_model=10, n_heads=3, n_layers=1, d_ff=4, vocab_size=8)
 
+    @pytest.mark.parametrize("field", ["d_model", "n_heads", "n_layers", "d_ff", "vocab_size"])
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_sizes_must_be_positive(self, field, value):
+        sizes = dict(d_model=8, n_heads=2, n_layers=1, d_ff=4, vocab_size=8)
+        with pytest.raises(ValueError, match=f"{field} must be positive"):
+            ModelConfig(**{**sizes, field: value})
+
     def test_dropout_range(self):
         with pytest.raises(ValueError):
             ModelConfig(d_model=8, n_heads=2, n_layers=1, d_ff=4, vocab_size=8,

@@ -1,4 +1,7 @@
+import json
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -212,6 +215,40 @@ class TestCheckpointIO:
         assert set(loaded.params) == set(ckpt.params)
         for name in ckpt.params:
             assert loaded.params[name].tobytes() == ckpt.params[name].tobytes()
+        resaved = tmp_path / "resaved.bin"
+        save_checkpoint(loaded, resaved)
+        assert resaved.read_bytes() == path.read_bytes()
+
+    def test_version_2_layout(self, tmp_path):
+        ckpt, _, vocab = self.make_checkpoint()
+        path = tmp_path / "ck.bin"
+        save_checkpoint(ckpt, path)
+        raw = path.read_bytes()
+        magic, version, n = struct.unpack_from("<4sIQ", raw)
+        assert (magic, version) == (b"SSCK", 2)
+        header = json.loads(raw[16:16 + n].decode("utf-8"))
+        assert list(header) == ["config", "vocab", "history", "params"]
+        assert header["config"] == {"d_model": 64, "n_heads": 2, "n_layers": 2, "d_ff": 128,
+                                    "vocab_size": vocab.size, "max_len": 80,
+                                    "encoder_masking": "bidirectional", "dropout_rate": 0.0}
+        assert header["vocab"] == list(vocab.id_to_token)
+        assert header["history"] == {"epochs": [{"epoch": 1, "train_loss": 2.5,
+                                                 "valid_sari": 31.2, "lr": 1e-4}],
+                                     "best_epoch": 1, "stopped_early": False}
+        assert header["params"] == {k: list(a.shape) for k, a in ckpt.params.items()}
+        assert raw[16 + n:] == b"".join(a.astype("<f8").tobytes() for a in ckpt.params.values())
+
+    def test_load_allocates_little_beyond_the_parameters(self, tmp_path):
+        ckpt, _, _ = self.make_checkpoint()
+        path = tmp_path / "ck.bin"
+        save_checkpoint(ckpt, path)
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * sum(a.nbytes for a in loaded.params.values())
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
