@@ -1,8 +1,9 @@
 """Command-line entry point: train / simplify / eval / report.
 
-Settings merge in order: built-in defaults, then a key=value config file
-(--config), then explicit flags. Every run echoes its effective settings
-into the output directory as config.resolved so it can be replayed.
+Train settings merge in order: built-in defaults, then a key=value config
+file (--config), then explicit flags; file values pass the same type and
+choice checks as flags. Every run echoes its parsed settings into the
+output directory as config.resolved so it can be replayed.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import fields
 
 from . import corpus as C
 from . import sari as S
@@ -44,6 +46,23 @@ LITERATURE_ROWS = [
 ]
 
 
+# The train settings that config.resolved records and a --config file may set (besides
+# `out`, which the required --out flag always overrides).
+TRAIN_SETTINGS = ("variant", "scale", "seed", "epochs", "batch_size", "patience",
+                  "max_vocab", "min_freq", "base_lr", "max_lr")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument errors raise ValueError, which main reports as one `error:` line."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
+def int_or_none(text: str) -> int | None:
+    return None if text.lower() in ("none", "off") else int(text)
+
+
 def _read_config_file(path) -> dict[str, str]:
     values = {}
     with open(path, encoding="utf-8") as f:
@@ -58,48 +77,27 @@ def _read_config_file(path) -> dict[str, str]:
     return values
 
 
-def _effective(args: argparse.Namespace, defaults: dict) -> dict:
-    """defaults < config file < explicit flags.
-
-    The file may hold the keys of `defaults` plus `out`, which is what
-    config.resolved records, so a resolved file replays its run.
-    """
-    merged = dict(defaults)
-    if getattr(args, "config", None):
-        values = _read_config_file(args.config)
-        unknown = sorted(set(values) - set(defaults) - {"out"})
-        if unknown:
-            raise ValueError(f"unknown keys in config file {args.config}: {unknown}")
-        merged.update(values)
-    for key in defaults:
-        flag = getattr(args, key.replace(".", "_"), None)
-        if flag is not None:
-            merged[key] = flag
-    return merged
-
-
-def _write_resolved(out_dir, settings: dict) -> None:
-    with open(os.path.join(out_dir, "config.resolved"), "w", encoding="utf-8") as f:
-        for key in sorted(settings):
-            f.write(f"{key}={settings[key]}\n")
-
-
-TRAIN_DEFAULTS = {
-    "variant": "bert",
-    "scale": "toy",
-    "seed": "0",
-    "epochs": "20",
-    "batch_size": "8",
-    "patience": "3",
-    "max_vocab": "2000",
-    "min_freq": "1",
-    "base_lr": "1e-4",
-    "max_lr": "1e-3",
-}
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """defaults < config file < explicit flags: the file's settings are parsed as flags
+    placed ahead of the explicit ones, which win because the last value given wins."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if not getattr(args, "config", None):
+        return args
+    values = _read_config_file(args.config)
+    unknown = sorted(set(values) - set(TRAIN_SETTINGS) - {"out"})
+    if unknown:
+        raise ValueError(f"unknown keys in config file {args.config}: {unknown}")
+    ahead = [f"--{key.replace('_', '-')}={value}" for key, value in values.items()
+             if key != "out"]
+    try:
+        return parser.parse_args([argv[0], *ahead, *argv[1:]])  # argv[0] is "train"
+    except ValueError as exc:
+        raise ValueError(f"config file {args.config}: {exc}") from exc
 
 
 def cmd_train(args) -> int:
-    cfg = _effective(args, TRAIN_DEFAULTS)
+    train_cfg = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)  # fails fast, not after training
     train_examples = C.load_parallel(args.train_src, args.train_tgt)
@@ -108,35 +106,29 @@ def cmd_train(args) -> int:
     src_eval, ref_paths = C.find_eval_files(args.valid_stem)
     valid = C.load_eval(src_eval, ref_paths)
 
-    seed = int(cfg["seed"])
     vocab = tok.build_vocab(
         [e.source for e in train_examples] + [e.target for e in train_examples],
-        max_size=int(cfg["max_vocab"]), min_freq=int(cfg["min_freq"]),
+        max_size=args.max_vocab, min_freq=args.min_freq,
     )
-    model_cfg = variant_config(cfg["variant"], cfg["scale"], vocab_size=vocab.size)
-    patience = None if cfg["patience"].lower() in ("none", "off") else int(cfg["patience"])
-    train_cfg = TrainConfig(
-        base_lr=float(cfg["base_lr"]), max_lr=float(cfg["max_lr"]),
-        epochs=int(cfg["epochs"]), batch_size=int(cfg["batch_size"]),
-        patience=patience, seed=seed,
-    )
-
+    model_cfg = variant_config(args.variant, args.scale, vocab_size=vocab.size)
     pairs = [
         (tok.encode(vocab, e.source, model_cfg.max_len).ids,
          tok.encode(vocab, e.target, model_cfg.max_len).ids)
         for e in train_examples
     ]
     batches = C.make_batches(pairs, train_cfg.batch_size, vocab.pad_id,
-                             model_cfg.max_len, shuffle_seed=seed)
-    model = init_model(model_cfg, seed)
+                             model_cfg.max_len, shuffle_seed=train_cfg.seed)
+    model = init_model(model_cfg, train_cfg.seed)
     ckpt, history = train_loop(model, batches, valid, train_cfg, vocab)
 
-    _write_resolved(out_dir, {**cfg, "out": out_dir})
+    with open(os.path.join(out_dir, "config.resolved"), "w", encoding="utf-8") as f:
+        for key in sorted((*TRAIN_SETTINGS, "out")):
+            f.write(f"{key}={getattr(args, key)}\n")
     save_checkpoint(ckpt, os.path.join(out_dir, "checkpoint.bin"))
     with open(os.path.join(out_dir, "history.tsv"), "w", encoding="utf-8") as f:
         f.write(history_tsv(history))
     log.info("trained %s for %d epochs, best SARI %.2f at epoch %d",
-             cfg["variant"], len(history.epochs),
+             args.variant, len(history.epochs),
              max(r.valid_sari for r in history.epochs), history.best_epoch)
     return EXIT_OK
 
@@ -242,30 +234,27 @@ def cmd_report(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="sentsimp",
-                                     description="Sentence simplification toolkit")
+    parser = _Parser(prog="sentsimp", description="Sentence simplification toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def shared(p):
-        p.add_argument("--config", help="key=value settings file")
-        p.add_argument("--seed", type=str, default=None)
-        p.add_argument("--variant", choices=sorted(VARIANTS), default=None)
-        p.add_argument("--scale", choices=["paper", "toy"], default=None)
-        p.add_argument("--out", required=True, help="run/output directory")
-
     p = sub.add_parser("train", help="fine-tune a variant on a parallel corpus")
-    shared(p)
+    p.add_argument("--config", help="key=value settings file")
+    p.add_argument("--out", required=True, help="run/output directory")
     p.add_argument("--train-src", required=True)
     p.add_argument("--train-tgt", required=True)
     p.add_argument("--valid-stem", required=True,
                    help="stem of <stem>.src and <stem>.ref.N validation files")
-    p.add_argument("--epochs", type=str, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=str, default=None)
-    p.add_argument("--patience", type=str, default=None, help="integer or 'none'")
-    p.add_argument("--max-vocab", dest="max_vocab", type=str, default=None)
-    p.add_argument("--min-freq", dest="min_freq", type=str, default=None)
-    p.add_argument("--base-lr", dest="base_lr", type=str, default=None)
-    p.add_argument("--max-lr", dest="max_lr", type=str, default=None)
+    p.add_argument("--variant", choices=sorted(VARIANTS), default="bert")
+    p.add_argument("--scale", choices=["paper", "toy"], default="toy")
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--batch-size", dest="batch_size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--patience", type=int_or_none, default=TrainConfig.patience,
+                   help="integer or 'none'")
+    p.add_argument("--max-vocab", dest="max_vocab", type=int, default=2000)
+    p.add_argument("--min-freq", dest="min_freq", type=int, default=1)
+    p.add_argument("--base-lr", dest="base_lr", type=float, default=TrainConfig.base_lr)
+    p.add_argument("--max-lr", dest="max_lr", type=float, default=TrainConfig.max_lr)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("simplify", help="decode an input file with a checkpoint")
@@ -294,9 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        args = _parse_args(argv)
         return args.func(args)
     except (OSError, ValueError) as exc:  # file-system errors; bad input, format errors too
         print(f"error: {exc}", file=sys.stderr)

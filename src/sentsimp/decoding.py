@@ -41,8 +41,8 @@ class DecodeConfig:
 
 def _cached_step(model: Model, vocab: Vocabulary, sources: list[str], cfg: DecodeConfig):
     """Encode the sources as one padded batch; return the step over them and the length
-    cap, which never exceeds the model's positions. Each prefix extends by one token row
-    rows[i] of the previous call, or if rows is None the row whose prefix was prefix[:-1]."""
+    cap, which never exceeds the model's positions. After the first call, each prefix
+    extends by one token the prefix of row rows[i] of the previous call."""
     cap = min(cfg.max_len, model.config.max_len)
     model = Model(model.config, {n: Tensor(p.data) for n, p in model.params.items()}, set())
     encoded = [encode(vocab, s, cap).ids for s in sources]
@@ -50,13 +50,11 @@ def _cached_step(model: Model, vocab: Vocabulary, sources: list[str], cfg: Decod
     src_ids = np.asarray([ids + (vocab.pad_id,) * (width - len(ids)) for ids in encoded])
     src_mask = np.arange(width) < np.asarray([len(ids) for ids in encoded])[:, None]
     enc_out = encode_source(model, src_ids, src_mask)
-    cache, previous = DecoderCache(), []
+    cache = DecoderCache()
 
-    def step(prefixes, rows=None) -> np.ndarray:
+    def step(prefixes, rows) -> np.ndarray:
         if cache.length:
-            rows = [previous.index(tuple(p[:-1])) for p in prefixes] if rows is None else rows
             cache.select(np.asarray(rows, dtype=np.int64))
-        previous[:] = [tuple(p) for p in prefixes]
         tgt = np.asarray([p[-1:] for p in prefixes], dtype=np.int64)
         return decoder_logits(model, enc_out, src_mask, tgt, np.ones_like(tgt, dtype=bool),
                               cache=cache).data[:, -1]
@@ -92,24 +90,27 @@ def beam_ids(step_fn, bos_id: int, eos_id: int, max_len: int, beam_width: int) -
     and the search ends once a retired beam beats every live one."""
     active: list[tuple[float, tuple[int, ...]]] = [(0.0, (bos_id,))]
     finished: list[tuple[float, tuple[int, ...]]] = []
+    rows = None  # each live beam's parent row in the previous step
     while active and len(active[0][1]) < max_len:
         if finished and max(score for score, _ in finished) > active[0][0]:
             break  # log-probabilities are <= 0, so no live beam can still win
         candidates = []
-        for (score, ids), logits in zip(active, step_fn([ids for _, ids in active])):
-            logp = _log_softmax(logits)
+        logits = step_fn([ids for _, ids in active], rows)
+        for row, ((score, ids), row_logits) in enumerate(zip(active, logits)):
+            logp = _log_softmax(row_logits)
             top = np.argsort(-logp, kind="stable")[:beam_width]
             for tok in top:
-                candidates.append((score + float(logp[tok]), ids + (int(tok),)))
+                candidates.append((score + float(logp[tok]), ids + (int(tok),), row))
         candidates.sort(key=lambda c: (-c[0], c[1]))
-        active = []
-        for score, ids in candidates:
+        active, rows = [], []
+        for score, ids, row in candidates:
             if len(active) == beam_width:
                 break
             if ids[-1] == eos_id:
                 finished.append((score, ids))
             else:
                 active.append((score, ids))
+                rows.append(row)
     finished.extend(active)  # unfinished beams at the length cap still compete
     finished.sort(key=lambda e: (-e[0], e[1]))
     return list(finished[0][1])

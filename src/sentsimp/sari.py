@@ -24,7 +24,6 @@ class SariReport:
     add: float
     keep: float
     delete: float
-    per_order: tuple[tuple[float, float, float], ...]  # (add, keep, delete) per order
 
 
 def ngrams(tokens: list[str], n: int) -> Counter:
@@ -95,7 +94,7 @@ def sari_sentence(source: str, output: str, references: list[str]) -> SariReport
     add = sum(o[0] for o in per_order) / len(ORDERS)
     keep = sum(o[1] for o in per_order) / len(ORDERS)
     delete = sum(o[2] for o in per_order) / len(ORDERS)
-    return SariReport((add + keep + delete) / 3.0, add, keep, delete, tuple(per_order))
+    return SariReport((add + keep + delete) / 3.0, add, keep, delete)
 
 
 def sari_corpus(items) -> tuple[SariReport, list[float]]:
@@ -105,16 +104,11 @@ def sari_corpus(items) -> tuple[SariReport, list[float]]:
         raise ValueError("sari_corpus needs at least one item")
     reports = [sari_sentence(s, o, list(refs)) for s, o, refs in items]
     n = len(reports)
-    per_order = tuple(
-        tuple(sum(rep.per_order[i][j] for rep in reports) / n for j in range(3))
-        for i in range(len(ORDERS))
-    )
     corpus = SariReport(
         sari=sum(r.sari for r in reports) / n,
         add=sum(r.add for r in reports) / n,
         keep=sum(r.keep for r in reports) / n,
         delete=sum(r.delete for r in reports) / n,
-        per_order=per_order,
     )
     return corpus, [r.sari for r in reports]
 

@@ -14,6 +14,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field, fields, asdict
+from typing import ClassVar
 
 import numpy as np
 
@@ -40,25 +41,32 @@ class CheckpointFormatError(ValueError):
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """The run-level settings. Every run shares one fixed recipe, the class constants:
+    AdamW (betas 0.9 and 0.999, eps 1e-8, decoupled weight decay 0.01), gradients
+    clipped to norm 1.0, and a one-cycle schedule that warms up over the first 10%
+    of steps and decays to 1e-6."""
     base_lr: float = 1e-4
     max_lr: float = 1e-3
     epochs: int = 20
     batch_size: int = 8
-    warmup_fraction: float = 0.1
-    final_lr: float = 1e-6
-    weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_adam: float = 1e-8
     patience: int | None = 3      # None disables early stopping
-    clip_norm: float | None = 1.0
     seed: int = 0
+
+    warmup_fraction: ClassVar[float] = 0.1
+    final_lr: ClassVar[float] = 1e-6
+    weight_decay: ClassVar[float] = 0.01
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    eps_adam: ClassVar[float] = 1e-8
+    clip_norm: ClassVar[float] = 1.0
 
     def __post_init__(self):
         if not 0 < self.base_lr <= self.max_lr:
             raise ValueError("need 0 < base_lr <= max_lr")
-        if not 0 < self.warmup_fraction < 1:
-            raise ValueError("warmup_fraction must lie in (0, 1)")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         if self.patience is not None and self.patience < 1:
             raise ValueError("patience must be >= 1")
 
@@ -208,8 +216,7 @@ def train_loop(model: Model, train_batches: list[Batch], valid: list[EvalExample
                     f"non-finite loss at epoch {epoch}, batch {bi}"
                 ) from exc
             T.backward(loss)
-            if cfg.clip_norm is not None:
-                clip_gradients(model, cfg.clip_norm)
+            clip_gradients(model, cfg.clip_norm)
             lr = onecycle_lr(step, total_steps, cfg)
             adamw_step(model, state, lr, cfg)
             step += 1

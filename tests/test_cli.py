@@ -1,5 +1,6 @@
 import json
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ import pytest
 from sentsimp import cli
 from sentsimp.cli import main
 from sentsimp.tensor import NonFiniteError
-from sentsimp.train import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, load_checkpoint, save_checkpoint
+from sentsimp.train import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, TrainConfig, load_checkpoint,
+                            save_checkpoint)
 
 from conftest import make_toy_pairs, write_corpus
 
@@ -103,6 +105,80 @@ class TestTrain:
                      "--valid-stem", str(corpus_dir / "valid"), "--out", str(out)]) == 0
         for name in ("checkpoint.bin", "history.tsv"):
             assert (out / name).read_bytes() == (trained_run / name).read_bytes()
+
+
+    def test_every_train_config_field_is_a_setting(self):
+        assert {f.name for f in fields(TrainConfig)} <= set(cli.TRAIN_SETTINGS)
+        args = cli.build_parser().parse_args(["train", "--out", "o", "--train-src", "s",
+                                              "--train-tgt", "t", "--valid-stem", "v"])
+        assert TrainConfig(**{f.name: getattr(args, f.name)
+                              for f in fields(TrainConfig)}) == TrainConfig()
+
+    def test_typed_settings_round_trip(self, corpus_dir, tmp_path):
+        # scale stays toy: the one other scale is too large to train here
+        settings = {"variant": "gpt2", "scale": "toy", "seed": "7", "epochs": "3",
+                    "batch-size": "4", "patience": "none", "max-vocab": "40",
+                    "min-freq": "2", "base-lr": "2e-4", "max-lr": "3e-3"}
+        assert len(settings) == len(cli.TRAIN_SETTINGS)
+        inputs = ["--train-src", str(corpus_dir / "train.src"),
+                  "--train-tgt", str(corpus_dir / "train.tgt"),
+                  "--valid-stem", str(corpus_dir / "valid")]
+        run, replay = tmp_path / "run", tmp_path / "replay"
+        flags = [token for key, value in settings.items() for token in (f"--{key}", value)]
+        assert main(["train", *inputs, "--out", str(run), *flags]) == 0
+        resolved = (run / "config.resolved").read_text().splitlines()
+        assert {"base_lr=0.0002", "max_lr=0.003", "patience=None", "seed=7",
+                "max_vocab=40", f"out={run}"} <= set(resolved)
+        assert main(["train", *inputs, "--out", str(replay),
+                     "--config", str(run / "config.resolved")]) == 0
+        for name in ("checkpoint.bin", "history.tsv"):
+            assert (replay / name).read_bytes() == (run / name).read_bytes()
+        assert (replay / "config.resolved").read_text().splitlines() == \
+            [f"out={replay}" if line.startswith("out=") else line for line in resolved]
+
+
+def test_help_is_unchanged(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: sentsimp train")
+
+
+# id -> (subcommand and the flags after its required paths, --config file text or None)
+ARGUMENT_ERRORS = {
+    "simplify_beam_width": (["simplify", "--beam-width", "x"], None),
+    "eval_bins": (["eval", "--bins", "x"], None),
+    "train_epochs": (["train", "--epochs", "x"], None),
+    "train_epochs_0": (["train", "--epochs", "0"], None),
+    "train_batch_size_0": (["train", "--batch-size", "0"], None),
+    "train_missing_out": (["train"], None),
+    "config_epochs": (["train"], "epochs=x\n"),
+    "config_variant": (["train"], "variant=t5\n"),
+}
+
+
+@pytest.mark.parametrize("case", ARGUMENT_ERRORS)
+def test_argument_errors_exit_2(case, corpus_dir, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli.C, "load_parallel", lambda *a: pytest.fail("corpus loaded"))
+    extra, config = ARGUMENT_ERRORS[case]
+    out = tmp_path / "out"
+    paths = {
+        "simplify": ["--checkpoint", str(tmp_path / "c.bin"), "--input",
+                     str(corpus_dir / "test.src"), "--output", str(out)],
+        "eval": ["--system", str(corpus_dir / "test.ref.0"),
+                 "--eval-stem", str(corpus_dir / "test"), "--out", str(out)],
+        "train": train_args(corpus_dir, out)[1:],
+    }[extra[0]]
+    if case == "train_missing_out":
+        i = paths.index("--out")
+        del paths[i:i + 2]
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        paths += ["--config", str(tmp_path / "run.cfg")]
+    assert main([extra[0], *paths, *extra[1:]]) == 2
+    message = one_error_line(capsys)
+    assert ("run.cfg" in message) == (config is not None)
+    assert not out.exists()
 
 
 PREFIX = struct.Struct("<4sIQ")  # magic, version, header length

@@ -241,12 +241,12 @@ class TestDecoderCache:
         full = full_step(model, vocab, source, cap)
         previous, reorders = [], []
 
-        def checked(prefixes):
-            got = step(prefixes)
+        def checked(prefixes, rows):
+            got = step(prefixes, rows)
             want = np.stack([full(list(p)) for p in prefixes])
             assert np.abs(got - want).max() < 1e-10
             if previous:
-                rows = [previous.index(tuple(p[:-1])) for p in prefixes]
+                assert [tuple(p[:-1]) for p in prefixes] == [previous[r] for r in rows]
                 reorders.append(rows != list(range(len(rows))))
             previous[:] = [tuple(p) for p in prefixes]
             return got

@@ -66,22 +66,21 @@ class TestAdamW:
     def test_zero_gradient_pure_decay(self):
         model = scalar_model(1.0)
         model.params["w"].grad = np.array([0.0])
-        adamw_step(model, init_opt_state(model), lr=0.1,
-                   cfg=TrainConfig(weight_decay=0.01))
+        adamw_step(model, init_opt_state(model), lr=0.1, cfg=TrainConfig())
         assert model.params["w"].data[0] == pytest.approx(0.999, abs=1e-12)
 
     def test_first_step_moves_by_lr(self):
         model = scalar_model(1.0)
         model.params["w"].grad = np.array([0.5])
-        adamw_step(model, init_opt_state(model), lr=0.1,
-                   cfg=TrainConfig(weight_decay=0.0))
-        assert model.params["w"].data[0] == pytest.approx(0.9, abs=1e-6)
+        adamw_step(model, init_opt_state(model), lr=0.1, cfg=TrainConfig())
+        # the Adam step moves by lr, then the fixed 0.01 decay shrinks by lr * 0.01
+        assert model.params["w"].data[0] == pytest.approx(0.9 * (1 - 0.1 * 0.01), abs=1e-6)
 
     def test_three_steps_match_hand_recurrence(self):
-        lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
+        lr, b1, b2, eps, wd = 0.1, 0.9, 0.999, 1e-8, 0.01
         model = scalar_model(1.0)
         state = init_opt_state(model)
-        cfg = TrainConfig(weight_decay=0.0)
+        cfg = TrainConfig()
         # hand-iterated recurrence on f(p) = p^2
         p, m, v = 1.0, 0.0, 0.0
         for t in range(1, 4):
@@ -91,6 +90,7 @@ class TestAdamW:
             mhat = m / (1 - b1 ** t)
             vhat = v / (1 - b2 ** t)
             p = p - lr * mhat / (math.sqrt(vhat) + eps)
+            p = p - lr * wd * p
 
             model.params["w"].grad = np.array([2 * model.params["w"].data[0]])
             adamw_step(model, state, lr=lr, cfg=cfg)
@@ -106,7 +106,7 @@ class TestAdamW:
         p = Tensor(np.array([1.0]), requires_grad=True)
         model = Model(cfg, {"enc.0.ln1.gain": p}, no_decay={"enc.0.ln1.gain"})
         p.grad = np.array([0.0])
-        adamw_step(model, init_opt_state(model), 0.1, TrainConfig(weight_decay=0.5))
+        adamw_step(model, init_opt_state(model), 0.1, TrainConfig())
         assert p.data[0] == 1.0
 
 
