@@ -85,6 +85,16 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return z - math.log(np.exp(z).sum())
 
 
+def _top_k(logp: np.ndarray, k: int) -> np.ndarray:
+    """Ids of the k highest entries, highest first and ties in id order: the first k of
+    a stable descending sort, found by sorting only the entries at or above the k-th."""
+    if k >= logp.size:
+        return np.argsort(-logp, kind="stable")
+    kth = logp[np.argpartition(logp, -k)[-k]]
+    at_least = np.flatnonzero(logp >= kth)
+    return at_least[np.argsort(-logp[at_least], kind="stable")[:k]]
+
+
 def beam_ids(step_fn, bos_id: int, eos_id: int, max_len: int, beam_width: int) -> list[int]:
     """Beam search for the highest total log-probability; beams reaching eos are retired,
     and the search ends once a retired beam beats every live one."""
@@ -98,8 +108,7 @@ def beam_ids(step_fn, bos_id: int, eos_id: int, max_len: int, beam_width: int) -
         logits = step_fn([ids for _, ids in active], rows)
         for row, ((score, ids), row_logits) in enumerate(zip(active, logits)):
             logp = _log_softmax(row_logits)
-            top = np.argsort(-logp, kind="stable")[:beam_width]
-            for tok in top:
+            for tok in _top_k(logp, beam_width):
                 candidates.append((score + float(logp[tok]), ids + (int(tok),), row))
         candidates.sort(key=lambda c: (-c[0], c[1]))
         active, rows = [], []

@@ -208,29 +208,29 @@ def _merge_heads(x: Tensor) -> Tensor:
 
 def _kv(model: Model, prefix: str, x: Tensor) -> tuple[Tensor, Tensor]:
     p, h = model.params, model.config.n_heads
-    return tuple(_split_heads(T.add(T.matmul(x, p[f"{prefix}.w{part}"]), p[f"{prefix}.b{part}"]), h)
+    return tuple(_split_heads(T.matmul(x, p[f"{prefix}.w{part}"], p[f"{prefix}.b{part}"]), h)
                  for part in "kv")
 
 
 def _mha(model: Model, prefix: str, x_q: Tensor, kv: tuple[Tensor, Tensor],
          mask: np.ndarray) -> Tensor:
     p, h = model.params, model.config.n_heads
-    q = _split_heads(T.add(T.matmul(x_q, p[f"{prefix}.wq"]), p[f"{prefix}.bq"]), h)
+    q = _split_heads(T.matmul(x_q, p[f"{prefix}.wq"], p[f"{prefix}.bq"]), h)
     out = _merge_heads(attention(q, *kv, mask))
-    return T.add(T.matmul(out, p[f"{prefix}.wo"]), p[f"{prefix}.bo"])
+    return T.matmul(out, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
 
 
 def _ffn(model: Model, prefix: str, x: Tensor) -> Tensor:
     p = model.params
-    hidden = T.gelu(T.add(T.matmul(x, p[f"{prefix}.w1"]), p[f"{prefix}.b1"]))
-    return T.add(T.matmul(hidden, p[f"{prefix}.w2"]), p[f"{prefix}.b2"])
+    hidden = T.gelu(T.matmul(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"]))
+    return T.matmul(hidden, p[f"{prefix}.w2"], p[f"{prefix}.b2"])
 
 
 def _sublayer(model: Model, ln_prefix: str, x: Tensor, out: Tensor,
               train: bool, rng) -> Tensor:
     p = model.params
     out = T.dropout(out, model.config.dropout_rate, rng, train)
-    return T.layer_norm(T.add(x, out), p[f"{ln_prefix}.gain"], p[f"{ln_prefix}.bias"])
+    return T.layer_norm(x, p[f"{ln_prefix}.gain"], p[f"{ln_prefix}.bias"], residual=out)
 
 
 def _self_mask(pad_mask: np.ndarray, causal: bool) -> np.ndarray:
@@ -283,7 +283,7 @@ def decoder_logits(model: Model, enc_out: Tensor, src_pad_mask: np.ndarray,
         x = _sublayer(model, f"dec.{i}.ln2", x, cross, train, rng)
         x = _sublayer(model, f"dec.{i}.ln3", x, _ffn(model, f"dec.{i}.ff", x), train, rng)
     cache.length += new
-    return T.add(T.matmul(x, model.params["out.w"]), model.params["out.b"])
+    return T.matmul(x, model.params["out.w"], model.params["out.b"])
 
 
 def forward(model: Model, batch: Batch, train_mode: bool = False, rng=None) -> Tensor:

@@ -5,6 +5,12 @@ masked softmax, layer norm, GeLU, embedding lookup, cross entropy.
 Everything runs in float64 so finite-difference gradient checks are
 decisive. All ops are deterministic: identical inputs give bit-identical
 outputs.
+
+Each op records one tape node, and the hot compositions are folded into
+one: `matmul(x, w, bias)` is a linear layer, a single GEMM over x's rows
+with the bias added in place, and `layer_norm(x, gain, bias,
+residual=r)` normalises x + r. Backward functions never write into the
+gradient they are given, since it may be shared with other nodes.
 """
 
 from __future__ import annotations
@@ -61,7 +67,7 @@ class Tensor:
 
 
 def _result(data: np.ndarray, parents: Sequence[Tensor], backward_fn: Callable) -> Tensor:
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise NonFiniteError("operation produced a non-finite value")
     out = Tensor(data)
     if any(p.requires_grad for p in parents):
@@ -99,19 +105,40 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _result(out, (a,), bw)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """a @ b, plus bias when given. A 2-D b (a weight matrix) takes one GEMM over
+    a's rows, so neither direction builds a batched temporary."""
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} x {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    out = np.matmul(a.data, b.data)
+    if b.data.ndim > 2:
+        if bias is not None:
+            raise ShapeError(f"matmul bias needs a 2-d right operand, got {b.shape}")
+        out = np.matmul(a.data, b.data)
 
-    def bw(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
+        def bw(g):
+            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
+            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+            return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
 
-    return _result(out, (a, b), bw)
+        return _result(out, (a, b), bw)
+
+    d_in, d_out = b.shape
+    if bias is not None and bias.shape != (d_out,):
+        raise ShapeError(f"matmul bias {bias.shape} does not fit {a.shape} x {b.shape}")
+    a2 = a.data.reshape(-1, d_in)
+    out = a2 @ b.data
+    if bias is not None:
+        out += bias.data
+
+    def bw_2d(g):
+        g2 = g.reshape(-1, d_out)
+        grads = ((g2 @ b.data.T).reshape(a.data.shape), a2.T @ g2)
+        return grads if bias is None else grads + (g2.sum(axis=0),)
+
+    return _result(out.reshape(a.shape[:-1] + (d_out,)),
+                   (a, b) if bias is None else (a, b, bias), bw_2d)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -141,7 +168,7 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     out = table.data[ids]
 
     def bw(g):
-        gt = np.zeros_like(table.data)
+        gt = np.zeros(table.data.shape)
         np.add.at(gt, ids, g)
         return (gt,)
 
@@ -169,12 +196,17 @@ def masked_softmax(x: Tensor, mask: np.ndarray) -> Tensor:
     return _result(y, (x,), bw)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5, *,
+               residual: Tensor | None = None) -> Tensor:
+    """Normalize the last axis of x (plus residual, when given) to zero mean /
+    unit variance, then affine."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
+    if residual is not None and residual.shape != x.shape:
+        raise ShapeError(f"layer_norm residual {residual.shape} does not match {x.shape}")
+    xs = x.data if residual is None else x.data + residual.data
+    mu = xs.mean(axis=-1, keepdims=True)
+    centered = xs - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
@@ -187,19 +219,23 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         gg = g * gain.data
         gx = inv * (gg - gg.mean(axis=-1, keepdims=True)
                     - xhat * (gg * xhat).mean(axis=-1, keepdims=True))
-        return gx, ggain, gbias
+        return (gx, ggain, gbias) if residual is None else (gx, ggain, gbias, gx)
 
-    return _result(out, (x, gain, bias), bw)
+    return _result(out, (x, gain, bias) if residual is None else (x, gain, bias, residual), bw)
 
 
 def gelu(x: Tensor) -> Tensor:
     """tanh-approximation GeLU: 0.5*x*(1 + tanh(c*(x + 0.044715*x^3)))."""
-    u = GELU_C * (x.data + GELU_CUBIC * x.data ** 3)
-    t = np.tanh(u)
+    x2 = x.data * x.data
+    u = x2 * x.data
+    u *= GELU_CUBIC
+    u += x.data
+    u *= GELU_C
+    t = np.tanh(u, out=u)
     out = 0.5 * x.data * (1.0 + t)
 
     def bw(g):
-        du = GELU_C * (1.0 + 3.0 * GELU_CUBIC * x.data ** 2)
+        du = GELU_C * (1.0 + 3.0 * GELU_CUBIC * x2)
         dx = 0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t * t) * du
         return (g * dx,)
 
@@ -236,10 +272,12 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_id: int) -> Tensor
     out = np.asarray(nll.sum() / n)
 
     def bw(g):
-        p = np.exp(z - lse[..., None])
-        onehot = np.zeros_like(p)
-        np.put_along_axis(onehot, safe[..., None], 1.0, axis=-1)
-        gl = (p - onehot) * valid[..., None] * (float(g) / n)
+        gl = z - lse[..., None]
+        np.exp(gl, out=gl)
+        rows = gl.reshape(-1, vocab)
+        rows[np.arange(rows.shape[0]), safe.reshape(-1)] -= 1.0
+        gl *= valid[..., None]
+        gl *= float(g) / n
         return (gl,)
 
     return _result(out, (logits,), bw)

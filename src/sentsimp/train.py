@@ -28,6 +28,7 @@ from .tensor import NonFiniteError
 CHECKPOINT_MAGIC = b"SSCK"
 CHECKPOINT_VERSION = 2
 _PREFIX = struct.Struct("<4sIQ")  # magic, version, header length
+_ADAMW_BLOCK = 1 << 15  # elements updated together, so a block's arrays stay in cache
 _HEADER = {"config": dict, "vocab": list, "history": dict, "params": dict}  # key -> JSON type
 
 
@@ -127,37 +128,51 @@ def init_opt_state(model: Model) -> OptState:
 
 
 def adamw_step(model: Model, state: OptState, lr: float, cfg: TrainConfig) -> None:
-    """One decoupled-weight-decay Adam update over every parameter.
-
-    Weight decay skips layer-norm gains and biases.
+    """One decoupled-weight-decay Adam update over every parameter: the Adam step,
+    then the decay of the updated value. Weight decay skips layer-norm gains and
+    biases. Each parameter is updated in place, a block of leading-axis rows at a
+    time, with every operation elementwise, so blocking leaves the result unchanged.
     """
     state.t += 1
     t = state.t
     bc1 = 1.0 - cfg.beta1 ** t
     bc2 = 1.0 - cfg.beta2 ** t
+    decay = lr * cfg.weight_decay
     for name, p in model.params.items():
         g = p.grad
         if g is None:
             raise ValueError(f"parameter {name} has no gradient")
         if g.shape != p.data.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {p.data.shape} for {name}")
-        m = state.m[name]
-        v = state.v[name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + cfg.eps_adam)
-        p.data -= lr * update
-        if name not in model.no_decay:
-            p.data -= lr * cfg.weight_decay * p.data
+        m, v = state.m[name], state.v[name]
+        rows = max(1, _ADAMW_BLOCK * len(g) // g.size)
+        for lo in range(0, len(g), rows):
+            block = slice(lo, lo + rows)
+            pb, gb, mb, vb = p.data[block], g[block], m[block], v[block]
+            tmp = gb * (1.0 - cfg.beta1)
+            mb *= cfg.beta1
+            mb += tmp
+            np.multiply(gb, 1.0 - cfg.beta2, out=tmp)
+            tmp *= gb
+            vb *= cfg.beta2
+            vb += tmp
+            np.divide(vb, bc2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += cfg.eps_adam
+            update = mb / bc1
+            update /= tmp
+            update *= lr
+            pb -= update
+            if name not in model.no_decay:
+                np.multiply(pb, decay, out=tmp)
+                pb -= tmp
 
 
 def clip_gradients(model: Model, max_norm: float) -> float:
     total = 0.0
     for p in model.params.values():
         if p.grad is not None:
-            total += float((p.grad * p.grad).sum())
+            total += float(np.vdot(p.grad, p.grad))
     norm = math.sqrt(total)
     if norm > max_norm:
         factor = max_norm / norm

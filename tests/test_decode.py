@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from sentsimp import tensor
-from sentsimp.decoding import (DecodeConfig, _cached_step, beam_ids, greedy_decode_batch,
-                               greedy_ids, simplify)
-from sentsimp.model import DecoderCache, decoder_logits, encode_source, init_model
+from sentsimp import decoding
+from sentsimp.decoding import (DecodeConfig, _cached_step, _top_k, beam_ids,
+                               greedy_decode_batch, greedy_ids, simplify)
+from sentsimp.model import (VARIANTS, DecoderCache, decoder_logits, encode_source, init_model,
+                            variant_config)
 from sentsimp.tensor import Tensor
 from sentsimp.tokenizer import build_vocab, decode, encode
 
@@ -138,6 +140,44 @@ class TestBeamCore:
     def test_beam_width_one_equals_greedy(self):
         step = batched(self.step())
         assert beam_ids(step, BOS, EOS, 4, beam_width=1) == greedy_ids(step, BOS, EOS, 4)
+
+
+def full_sort_top_k(logp, k):
+    """The reference top-k: a stable descending sort of every entry."""
+    return np.argsort(-logp, kind="stable")[:k]
+
+
+class TestTopK:
+    def test_tied_logits_keep_id_order(self):
+        logp = np.array([-1.0, -0.5, -0.5, -2.0, -0.5, -0.5, -3.0])
+        assert _top_k(logp, 3).tolist() == [1, 2, 4] == full_sort_top_k(logp, 3).tolist()
+        assert _top_k(logp, 5).tolist() == [1, 2, 4, 5, 0] == full_sort_top_k(logp, 5).tolist()
+
+    def test_ties_across_the_kth_value(self):
+        logp = np.array([0.0, -1.0, -1.0, 0.0, -1.0, -1.0])
+        assert _top_k(logp, 3).tolist() == [0, 3, 1] == full_sort_top_k(logp, 3).tolist()
+
+    def test_k_beyond_the_vocabulary(self):
+        logp = np.array([-1.0, 0.0, -1.0])
+        assert _top_k(logp, 4).tolist() == [1, 0, 2]
+
+    def test_matches_full_sort_on_coarse_random_logits(self):
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            logp = rng.integers(-4, 1, size=int(rng.integers(1, 40))).astype(np.float64)
+            k = int(rng.integers(1, 8))
+            assert _top_k(logp, k).tolist() == full_sort_top_k(logp, k).tolist()
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_beam_output_matches_full_sort(self, variant, monkeypatch):
+        pairs = make_toy_pairs(4, seed=1)
+        vocab = toy_vocab(pairs)
+        model = init_model(variant_config(variant, "toy", vocab.size), 2)
+        cfg = DecodeConfig(max_len=12, strategy="beam", beam_width=4)
+        sources = [s for s, _ in pairs]
+        exact = [simplify(model, vocab, s, cfg) for s in sources]
+        monkeypatch.setattr(decoding, "_top_k", full_sort_top_k)
+        assert [simplify(model, vocab, s, cfg) for s in sources] == exact
 
 
 class TestAgainstRandomModels:

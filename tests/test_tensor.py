@@ -53,6 +53,86 @@ class TestMatmul:
         assert err < 1e-8
 
 
+def analytic(build, leaves):
+    """Forward value of build(*leaves) and each leaf's gradient of the sum of its square."""
+    ts = [tensor(x, rg=True) for x in leaves]
+    out = build(*ts)
+    backward(tensor_sum(mul(out, out)))
+    return out.data, [t.grad for t in ts]
+
+
+class TestFusedOps:
+    """Each fused op against the composition it replaces: both sides are exact
+    backprop, so values and gradients agree to rounding."""
+
+    def assert_equivalent(self, fused, composed, leaves):
+        (got, got_grads), (want, want_grads) = analytic(fused, leaves), analytic(composed, leaves)
+        assert np.abs(got - want).max() < 1e-12
+        for g, w in zip(got_grads, want_grads):
+            assert g.shape == w.shape
+            assert np.abs(g - w).max() < 1e-12
+
+    def test_matmul_bias_matches_add_of_matmul(self):
+        rng = np.random.default_rng(3)
+        leaves = [rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5)), rng.normal(size=5)]
+        self.assert_equivalent(lambda x, w, b: T.matmul(x, w, b),
+                               lambda x, w, b: T.add(T.matmul(x, w), b), leaves)
+
+    def test_flat_matmul_matches_batched_matmul(self):
+        rng = np.random.default_rng(4)
+        leaves = [rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5))]
+        batched = lambda x, w: T._result(np.matmul(x.data, w.data), (x, w), lambda g: (
+            np.matmul(g, w.data.T), np.matmul(np.swapaxes(x.data, -1, -2), g).sum(axis=0)))
+        self.assert_equivalent(T.matmul, batched, leaves)
+
+    def test_layer_norm_residual_matches_layer_norm_of_add(self):
+        rng = np.random.default_rng(5)
+        leaves = [rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3, 4)),
+                  rng.normal(size=4) + 2.0, rng.normal(size=4)]
+        self.assert_equivalent(lambda x, r, g, b: T.layer_norm(x, g, b, residual=r),
+                               lambda x, r, g, b: T.layer_norm(T.add(x, r), g, b), leaves)
+
+    def test_matmul_bias_grad_check(self):
+        rng = np.random.default_rng(6)
+        x, w, b = (Tensor(rng.normal(size=s)) for s in ((2, 3, 4), (4, 5), (5,)))
+
+        def loss(out):
+            return tensor_sum(mul(out, out))
+
+        assert grad_check(lambda t: loss(T.matmul(t, w, b)), x) < 1e-8
+        assert grad_check(lambda t: loss(T.matmul(x, t, b)), w) < 1e-8
+        assert grad_check(lambda t: loss(T.matmul(x, w, t)), b) < 1e-8
+
+    def test_layer_norm_residual_grad_check(self):
+        rng = np.random.default_rng(7)
+        x, r = Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=(3, 4)))
+        gain, bias = Tensor(rng.normal(size=4) + 2.0), Tensor(rng.normal(size=4))
+        weights = Tensor(rng.normal(size=(3, 4)))  # so the loss is not invariant to x
+
+        def loss(out):
+            return tensor_sum(mul(out, weights))
+
+        assert grad_check(lambda t: loss(T.layer_norm(t, gain, bias, residual=r)), x) < 1e-8
+        assert grad_check(lambda t: loss(T.layer_norm(x, gain, bias, residual=t)), r) < 1e-8
+
+    def test_bias_shape_checked(self):
+        with pytest.raises(ShapeError, match="bias"):
+            T.matmul(tensor(np.ones((2, 3))), tensor(np.ones((3, 4))), tensor(np.ones(3)))
+        with pytest.raises(ShapeError, match="bias"):
+            T.matmul(tensor(np.ones((2, 2, 3))), tensor(np.ones((2, 3, 4))), tensor(np.ones(4)))
+
+    def test_residual_shape_checked(self):
+        with pytest.raises(ShapeError, match="residual"):
+            T.layer_norm(tensor(np.ones((2, 3))), tensor(np.ones(3)), tensor(np.zeros(3)),
+                         residual=tensor(np.ones(3)))
+
+    def test_residual_parents_share_one_gradient(self):
+        x, r = tensor([[1.0, 2.0, 4.0]], rg=True), tensor([[0.5, -1.0, 3.0]], rg=True)
+        out = T.layer_norm(x, tensor(np.ones(3)), tensor(np.zeros(3)), residual=r)
+        backward(tensor_sum(mul(out, tensor([[1.0, 2.0, 3.0]]))))
+        assert x.grad is r.grad
+
+
 class TestMaskedSoftmax:
     def test_uniform(self):
         out = T.masked_softmax(tensor([0.0, 0.0]), np.array([True, True]))

@@ -11,7 +11,7 @@ from sentsimp.corpus import EvalExample
 from sentsimp.model import Model, ModelConfig, forward, init_model
 from sentsimp.tensor import Tensor
 from sentsimp.train import (Checkpoint, CheckpointFormatError, EpochRecord, TrainConfig,
-                            TrainHistory, adamw_step, history_tsv, init_opt_state,
+                            TrainHistory, adamw_step, clip_gradients, history_tsv, init_opt_state,
                             load_checkpoint, model_from_checkpoint, onecycle_lr,
                             save_checkpoint, train_loop)
 from sentsimp.tokenizer import build_vocab
@@ -108,6 +108,60 @@ class TestAdamW:
         p.grad = np.array([0.0])
         adamw_step(model, init_opt_state(model), 0.1, TrainConfig())
         assert p.data[0] == 1.0
+
+
+    def test_blocked_update_matches_whole_array_recurrence(self):
+        """Updating a parameter a block of rows at a time gives exactly the bytes of
+        the whole-array formula, over a parameter larger than one block."""
+        cfg = ModelConfig(d_model=2, n_heads=1, n_layers=1, d_ff=2, vocab_size=8)
+        rng = np.random.default_rng(0)
+        shapes = {"big": (3001, 37), "vec": (5,), "enc.0.ln1.gain": (7,)}
+        model = Model(cfg, {n: Tensor(rng.normal(size=s), requires_grad=True)
+                            for n, s in shapes.items()}, no_decay={"enc.0.ln1.gain"})
+        state, tc = init_opt_state(model), TrainConfig()
+        p = {n: t.data.copy() for n, t in model.params.items()}
+        m = {n: np.zeros(s) for n, s in shapes.items()}
+        v = {n: np.zeros(s) for n, s in shapes.items()}
+        for t, lr in enumerate((1e-3, 3e-3, 2e-3), start=1):
+            for name, param in model.params.items():
+                g = param.grad = rng.normal(size=shapes[name])
+                m[name] = tc.beta1 * m[name] + (1.0 - tc.beta1) * g
+                v[name] = tc.beta2 * v[name] + (1.0 - tc.beta2) * g * g
+                update = (m[name] / (1.0 - tc.beta1 ** t)) / (
+                    np.sqrt(v[name] / (1.0 - tc.beta2 ** t)) + tc.eps_adam)
+                p[name] = p[name] - lr * update
+                if name not in model.no_decay:
+                    p[name] = p[name] - lr * tc.weight_decay * p[name]
+            adamw_step(model, state, lr, tc)
+        for name, param in model.params.items():
+            assert param.data.tobytes() == p[name].tobytes()
+            assert state.m[name].tobytes() == m[name].tobytes()
+            assert state.v[name].tobytes() == v[name].tobytes()
+
+
+class TestClipGradients:
+    def test_parameters_sharing_one_gradient_are_each_scaled_once(self):
+        """`add` and `layer_norm(..., residual=)` hand one gradient array to both
+        parents; clipping must not scale that array once per parameter."""
+        cfg = ModelConfig(d_model=2, n_heads=1, n_layers=1, d_ff=2, vocab_size=8)
+        rows = [[1.0, -2.0, 3.0]], [[0.5, 0.5, -1.0]], [[2.0, 0.0, 1.0]], [[1.0, 4.0, -1.0]]
+        a, b, x, r = (Tensor(np.array(row), requires_grad=True) for row in rows)
+        weights = Tensor(np.array([[3.0, -1.0, 2.0]]))
+        hidden = T.add(T.add(a, b), T.layer_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)),
+                                                 residual=r))
+        loss = T._result(np.asarray((hidden.data * weights.data).sum()), (hidden,),
+                         lambda g: (g * weights.data,))
+        T.backward(loss)
+        assert a.grad is b.grad and x.grad is r.grad
+        model = Model(cfg, {"a": a, "b": b, "x": x, "r": r}, no_decay=set())
+        before = {n: p.grad.copy() for n, p in model.params.items()}
+        norm = math.sqrt(sum(float((g * g).sum()) for g in before.values()))
+        assert norm > 0.5
+        assert clip_gradients(model, 0.5) == pytest.approx(norm, rel=1e-12)
+        for name, p in model.params.items():
+            assert np.allclose(p.grad, before[name] * (0.5 / norm), rtol=1e-12, atol=0.0)
+        total = math.sqrt(sum(float((p.grad * p.grad).sum()) for p in model.params.values()))
+        assert total == pytest.approx(0.5, rel=1e-12)
 
 
 class TestTrainConfig:
