@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import fields
 
 from . import corpus as C
@@ -96,6 +97,21 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
         raise ValueError(f"config file {args.config}: {exc}") from exc
 
 
+@contextmanager
+def staged_write(path):
+    """A text file opened beside `path` that replaces it in one rename when the block
+    ends cleanly and is removed when it raises, so `path` holds either its old
+    contents or the complete new ones."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def cmd_train(args) -> int:
     train_cfg = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
     out_dir = args.out
@@ -121,11 +137,11 @@ def cmd_train(args) -> int:
     model = init_model(model_cfg, train_cfg.seed)
     ckpt, history = train_loop(model, batches, valid, train_cfg, vocab)
 
-    with open(os.path.join(out_dir, "config.resolved"), "w", encoding="utf-8") as f:
+    with staged_write(os.path.join(out_dir, "config.resolved")) as f:
         for key in sorted((*TRAIN_SETTINGS, "out")):
             f.write(f"{key}={getattr(args, key)}\n")
     save_checkpoint(ckpt, os.path.join(out_dir, "checkpoint.bin"))
-    with open(os.path.join(out_dir, "history.tsv"), "w", encoding="utf-8") as f:
+    with staged_write(os.path.join(out_dir, "history.tsv")) as f:
         f.write(history_tsv(history))
     log.info("trained %s for %d epochs, best SARI %.2f at epoch %d",
              args.variant, len(history.epochs),
@@ -140,15 +156,9 @@ def cmd_simplify(args) -> int:
                               beam_width=args.beam_width)
     with open(args.input, encoding="utf-8") as f:
         lines = [line.rstrip("\r\n") for line in f]
-    tmp = f"{args.output}.{os.getpid()}.tmp"  # renamed onto --output once all lines decode
-    try:
-        with open(tmp, "w", encoding="utf-8") as f:
-            for line in lines:
-                f.write((simplify(model, ckpt.vocab, line, decode_cfg) if line.strip() else "") + "\n")
-        os.replace(tmp, args.output)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    with staged_write(args.output) as f:  # replaces --output once all lines decode
+        for line in lines:
+            f.write((simplify(model, ckpt.vocab, line, decode_cfg) if line.strip() else "") + "\n")
     return EXIT_OK
 
 
@@ -175,7 +185,7 @@ def cmd_eval(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     label = args.label or os.path.basename(os.path.normpath(out_dir))
 
-    with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as f:
+    with staged_write(os.path.join(out_dir, "report.json")) as f:
         json.dump({"label": label, "sari": report.sari, "add": report.add,
                    "keep": report.keep, "delete": report.delete, "n": len(scores)},
                   f, indent=2)
@@ -187,15 +197,15 @@ def cmd_eval(args) -> int:
              "Published Mechanical Turk results (reference constants):"]
     for row in PAPER_VARIANT_ROWS:
         lines.append(_format_row(*row))
-    with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as f:
+    with staged_write(os.path.join(out_dir, "report.txt")) as f:
         f.write("\n".join(lines) + "\n")
 
-    with open(os.path.join(out_dir, "sentences.tsv"), "w", encoding="utf-8") as f:
+    with staged_write(os.path.join(out_dir, "sentences.tsv")) as f:
         f.write("index\tsari\tsari_normalized\n")
         for i, s in enumerate(scores):
             f.write(f"{i}\t{s!r}\t{s / 100.0!r}\n")
 
-    with open(os.path.join(out_dir, "histogram.tsv"), "w", encoding="utf-8") as f:
+    with staged_write(os.path.join(out_dir, "histogram.tsv")) as f:
         f.write("bin_lower\tcount\n")
         for lower, count in histogram:
             f.write(f"{lower!r}\t{count}\n")
@@ -228,7 +238,7 @@ def cmd_report(args) -> int:
     print(table)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "comparison.txt"), "w", encoding="utf-8") as f:
+        with staged_write(os.path.join(args.out, "comparison.txt")) as f:
             f.write(table + "\n")
     return EXIT_OK
 

@@ -91,10 +91,13 @@ def variant_config(name: str, scale: str, vocab_size: int | None = None) -> Mode
 class Model:
     """Named parameter tensors plus the config that shaped them."""
 
-    def __init__(self, config: ModelConfig, params: dict[str, Tensor], no_decay: set[str]):
+    def __init__(self, config: ModelConfig, params: dict[str, Tensor], no_decay: set[str],
+                 embeddings: frozenset[str] = frozenset()):
         self.config = config
         self.params = params
         self.no_decay = no_decay
+        # Tables whose rows get a gradient only from the ids or positions a batch holds.
+        self.embeddings = embeddings
 
     def parameters(self) -> list[Tensor]:
         return list(self.params.values())
@@ -173,7 +176,8 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
 def model_from_arrays(config: ModelConfig, arrays: dict[str, np.ndarray]) -> Model:
     """Trainable tensors over the given arrays; layer norms are exempt from weight decay."""
     params = {name: Tensor(data, requires_grad=True) for name, data in arrays.items()}
-    return Model(config, params, {name for name in params if ".ln" in name})
+    return Model(config, params, {name for name in params if ".ln" in name},
+                 frozenset(name for name in params if name.endswith("_emb")))
 
 
 def init_model(config: ModelConfig, seed: int) -> Model:

@@ -272,12 +272,12 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_id: int) -> Tensor
     out = np.asarray(nll.sum() / n)
 
     def bw(g):
-        gl = z - lse[..., None]
+        gl = z  # z is dead after the graph's one backward pass, so it takes the gradient
+        gl -= lse[..., None]
         np.exp(gl, out=gl)
         rows = gl.reshape(-1, vocab)
         rows[np.arange(rows.shape[0]), safe.reshape(-1)] -= 1.0
-        gl *= valid[..., None]
-        gl *= float(g) / n
+        gl *= (valid * (g / n))[..., None]
         return (gl,)
 
     return _result(out, (logits,), bw)

@@ -74,8 +74,12 @@ class TrainConfig:
 
 @dataclass
 class OptState:
+    """Adam moments and step count, plus, per embedding table, which rows a gradient
+    has reached at some step. A row outside `live` has had an all-zero gradient at
+    every step, so its moments are +0.0 and the Adam step leaves it unchanged."""
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
+    live: dict[str, np.ndarray]
     t: int = 0
 
 
@@ -121,22 +125,62 @@ def onecycle_lr(step: int, total_steps: int, cfg: TrainConfig) -> float:
 
 
 def init_opt_state(model: Model) -> OptState:
+    # np.zeros leaves the pages of moment rows that never go live untouched.
+    shapes = {name: p.data.shape for name, p in model.params.items()}
     return OptState(
-        m={name: np.zeros_like(p.data) for name, p in model.params.items()},
-        v={name: np.zeros_like(p.data) for name, p in model.params.items()},
+        m={name: np.zeros(shape) for name, shape in shapes.items()},
+        v={name: np.zeros(shape) for name, shape in shapes.items()},
+        live={name: np.zeros(shapes[name][0], dtype=bool) for name in model.embeddings},
     )
 
 
-def adamw_step(model: Model, state: OptState, lr: float, cfg: TrainConfig) -> None:
-    """One decoupled-weight-decay Adam update over every parameter: the Adam step,
-    then the decay of the updated value. Weight decay skips layer-norm gains and
-    biases. Each parameter is updated in place, a block of leading-axis rows at a
-    time, with every operation elementwise, so blocking leaves the result unchanged.
-    """
-    state.t += 1
-    t = state.t
+def _row_blocks(a: np.ndarray):
+    rows = max(1, _ADAMW_BLOCK // max(1, math.prod(a.shape[1:])))
+    return (slice(lo, lo + rows) for lo in range(0, len(a), rows))
+
+
+def _adam_rows(p, g, m, v, lr: float, t: int, cfg: TrainConfig, factor: float,
+               decay: float | None) -> None:
+    """The AdamW recurrence on gradient g * factor, in place over p, m and v, a block
+    of leading-axis rows at a time. g is only read. Every operation is elementwise,
+    so blocking leaves the bytes unchanged."""
     bc1 = 1.0 - cfg.beta1 ** t
     bc2 = 1.0 - cfg.beta2 ** t
+    for block in _row_blocks(g):
+        pb, gb, mb, vb = p[block], g[block], m[block], v[block]
+        if factor != 1.0:
+            gb = gb * factor
+        tmp = gb * (1.0 - cfg.beta1)
+        mb *= cfg.beta1
+        mb += tmp
+        np.multiply(gb, 1.0 - cfg.beta2, out=tmp)
+        tmp *= gb
+        vb *= cfg.beta2
+        vb += tmp
+        np.divide(vb, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += cfg.eps_adam
+        update = mb / bc1
+        update /= tmp
+        update *= lr
+        pb -= update
+        if decay is not None:
+            np.multiply(pb, decay, out=tmp)
+            pb -= tmp
+
+
+def adamw_step(model: Model, state: OptState, lr: float, cfg: TrainConfig,
+               factor: float = 1.0) -> None:
+    """One decoupled-weight-decay Adam update over every parameter, on the gradients
+    scaled by `factor` (the clip from `clip_gradients`; no gradient array is written,
+    since parameters can share one): the Adam step, then the decay of the updated
+    value. Weight decay skips layer-norm gains and biases.
+
+    On an embedding table the Adam step runs on the live rows only (see OptState) and
+    every row then gets the decay: for a row that is not live the full arithmetic would
+    subtract +0.0, so the bytes are those of the dense update.
+    """
+    state.t += 1
     decay = lr * cfg.weight_decay
     for name, p in model.params.items():
         g = p.grad
@@ -145,41 +189,31 @@ def adamw_step(model: Model, state: OptState, lr: float, cfg: TrainConfig) -> No
         if g.shape != p.data.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {p.data.shape} for {name}")
         m, v = state.m[name], state.v[name]
-        rows = max(1, _ADAMW_BLOCK * len(g) // g.size)
-        for lo in range(0, len(g), rows):
-            block = slice(lo, lo + rows)
-            pb, gb, mb, vb = p.data[block], g[block], m[block], v[block]
-            tmp = gb * (1.0 - cfg.beta1)
-            mb *= cfg.beta1
-            mb += tmp
-            np.multiply(gb, 1.0 - cfg.beta2, out=tmp)
-            tmp *= gb
-            vb *= cfg.beta2
-            vb += tmp
-            np.divide(vb, bc2, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            tmp += cfg.eps_adam
-            update = mb / bc1
-            update /= tmp
-            update *= lr
-            pb -= update
-            if name not in model.no_decay:
-                np.multiply(pb, decay, out=tmp)
-                pb -= tmp
+        p_decay = None if name in model.no_decay else decay
+        live = state.live.get(name)
+        if live is None:
+            _adam_rows(p.data, g, m, v, lr, state.t, cfg, factor, p_decay)
+            continue
+        live |= (g != 0).any(axis=1)
+        rows = np.flatnonzero(live)
+        pr, mr, vr = p.data[rows], m[rows], v[rows]
+        _adam_rows(pr, g[rows], mr, vr, lr, state.t, cfg, factor, None)
+        p.data[rows], m[rows], v[rows] = pr, mr, vr
+        if p_decay is not None:
+            for block in _row_blocks(p.data):
+                pb = p.data[block]
+                pb -= pb * p_decay
 
 
-def clip_gradients(model: Model, max_norm: float) -> float:
+def clip_gradients(model: Model) -> float:
+    """The global gradient norm, before clipping. Clipping to `clip_norm` scales every
+    gradient by clip_norm / norm when the norm is larger; `adamw_step` applies that
+    factor as it reads each gradient, so no gradient is written here."""
     total = 0.0
     for p in model.params.values():
         if p.grad is not None:
             total += float(np.vdot(p.grad, p.grad))
-    norm = math.sqrt(total)
-    if norm > max_norm:
-        factor = max_norm / norm
-        for p in model.params.values():
-            if p.grad is not None:
-                p.grad = p.grad * factor
-    return norm
+    return math.sqrt(total)
 
 
 def default_valid_scorer(vocab: Vocabulary, valid: list[EvalExample]):
@@ -215,7 +249,7 @@ def train_loop(model: Model, train_batches: list[Batch], valid: list[EvalExample
     total_steps = cfg.epochs * len(train_batches)
     history = TrainHistory()
     best_sari = -math.inf
-    best_params = clone_params(model)
+    best_params = None
     step = 0
     lr = cfg.base_lr
 
@@ -231,15 +265,16 @@ def train_loop(model: Model, train_batches: list[Batch], valid: list[EvalExample
                     f"non-finite loss at epoch {epoch}, batch {bi}"
                 ) from exc
             T.backward(loss)
-            clip_gradients(model, cfg.clip_norm)
+            norm = clip_gradients(model)
+            factor = cfg.clip_norm / norm if norm > cfg.clip_norm else 1.0
             lr = onecycle_lr(step, total_steps, cfg)
-            adamw_step(model, state, lr, cfg)
+            adamw_step(model, state, lr, cfg, factor)
             step += 1
             losses.append(loss.item())
 
         valid_sari = score_fn(model)
         history.epochs.append(EpochRecord(epoch, sum(losses) / len(losses), valid_sari, lr))
-        if valid_sari > best_sari:
+        if best_params is None or valid_sari > best_sari:
             best_sari = valid_sari
             history.best_epoch = epoch
             best_params = clone_params(model)

@@ -1,5 +1,6 @@
 import json
 import struct
+from contextlib import contextmanager
 from dataclasses import fields
 
 import numpy as np
@@ -384,3 +385,44 @@ def test_file_system_errors_exit_2(case, trained_run, corpus_dir, tmp_path, caps
     assert main(argv) == 2
     assert str(tmp_path) in one_error_line(capsys)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
+
+
+class _FillsUp:
+    """A file on a disk that fills up halfway through the first write."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def write(self, data):
+        self.f.write(data[:len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("case", ["train", "simplify", "eval", "report"])
+def test_write_failing_midway_leaves_no_file(case, trained_run, corpus_dir, tmp_path,
+                                             capsys, monkeypatch):
+    target = {"train": "history.tsv", "simplify": "sys.txt", "eval": "report.json",
+              "report": "comparison.txt"}[case]
+    out = tmp_path / "out"
+    staged_write = cli.staged_write
+
+    @contextmanager
+    def filling_up(path):
+        with staged_write(path) as f:
+            yield _FillsUp(f) if str(path).endswith(target) else f
+
+    monkeypatch.setattr(cli, "staged_write", filling_up)
+    if case == "simplify":
+        out.mkdir()
+    argv = {
+        "train": train_args(corpus_dir, out, ["--epochs", "1"]),
+        "simplify": ["simplify", "--checkpoint", str(trained_run / "checkpoint.bin"),
+                     "--input", str(corpus_dir / "test.src"), "--output", str(out / target)],
+        "eval": ["eval", "--system", str(corpus_dir / "test.ref.0"),
+                 "--eval-stem", str(corpus_dir / "test"), "--out", str(out)],
+        "report": ["report", str(trained_run), "--out", str(out)],
+    }[case]
+    assert main(argv) == 2
+    assert "No space left on device" in one_error_line(capsys)
+    left = [p.name for p in out.iterdir()]
+    assert target not in left and not [n for n in left if n.endswith(".tmp")]

@@ -119,6 +119,10 @@ class TestInitModel:
         model = init_model(toy_model_config(16), 0)
         assert model.no_decay == {n for n in model.params if ".ln" in n}
 
+    def test_embeddings_are_exactly_the_token_and_position_tables(self):
+        model = init_model(toy_model_config(16), 0)
+        assert model.embeddings == {"enc.tok_emb", "enc.pos_emb", "dec.tok_emb", "dec.pos_emb"}
+
 
 class TestAttention:
     def test_single_position_returns_value(self):

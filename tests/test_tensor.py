@@ -224,6 +224,27 @@ class TestCrossEntropy:
         with pytest.raises(ValueError):
             T.cross_entropy(tensor(np.zeros((1, 2, 4))), np.array([[0, 0]]), ignore_id=0)
 
+    def test_gradient_bytes_match_the_fresh_buffer_formula(self):
+        """The backward reuses the forward's buffer and applies the mask and the
+        upstream scale in one multiply; the bytes, signed zeros included, are those
+        of the formula on a fresh array."""
+        x = np.random.default_rng(3).normal(size=(3, 5, 7))
+        targets = np.array([[2, 0, 3, 6, 0], [0, 0, 1, 4, 5], [3, 2, 0, 6, 1]])
+        logits = tensor(x, rg=True)
+        backward(T.scale(T.cross_entropy(logits, targets, ignore_id=0), -2.0))
+
+        valid = targets != 0
+        z = x - x.max(axis=-1, keepdims=True)
+        lse = np.log(np.exp(z).sum(axis=-1))
+        want = np.exp(z - lse[..., None])
+        want.reshape(-1, 7)[np.arange(15), np.where(valid, targets, 0).reshape(-1)] -= 1.0
+        want *= valid[..., None]
+        want *= -2.0 / valid.sum()
+        assert logits.grad.tobytes() == want.tobytes()
+        ignored = logits.grad[~valid]
+        assert np.all(ignored == 0.0)
+        assert np.signbit(ignored).any() and not np.signbit(ignored).all()
+
 
 class TestBackward:
     def test_sum_gives_ones(self):

@@ -109,22 +109,35 @@ class TestAdamW:
         adamw_step(model, init_opt_state(model), 0.1, TrainConfig())
         assert p.data[0] == 1.0
 
-
     def test_blocked_update_matches_whole_array_recurrence(self):
-        """Updating a parameter a block of rows at a time gives exactly the bytes of
-        the whole-array formula, over a parameter larger than one block."""
+        """Updating a parameter a block of rows at a time, and an embedding table's
+        live rows only, gives exactly the bytes of the whole-array formula on the
+        clipped gradient, over parameters larger than one block."""
         cfg = ModelConfig(d_model=2, n_heads=1, n_layers=1, d_ff=2, vocab_size=8)
         rng = np.random.default_rng(0)
-        shapes = {"big": (3001, 37), "vec": (5,), "enc.0.ln1.gain": (7,)}
+        shapes = {"big": (3001, 37), "vec": (5,), "enc.0.ln1.gain": (7,),
+                  "enc.tok_emb": (3001, 37)}
         model = Model(cfg, {n: Tensor(rng.normal(size=s), requires_grad=True)
-                            for n, s in shapes.items()}, no_decay={"enc.0.ln1.gain"})
+                            for n, s in shapes.items()}, no_decay={"enc.0.ln1.gain"},
+                      embeddings=frozenset({"enc.tok_emb"}))
+        model.params["enc.tok_emb"].data[::7, ::3] = -0.0
+        # Rows of the table that a step's gradient reaches: 0-99 from step 1, 200-399
+        # from step 2 (live share 10%), 1000-2599 at step 3 only (share 60%). Row 100
+        # is reached at step 1 only; every other entry is +0.0 or -0.0.
+        reached = {1: np.r_[0:101], 2: np.r_[0:100, 200:400],
+                   3: np.r_[0:100, 200:400, 1000:2600]}
         state, tc = init_opt_state(model), TrainConfig()
         p = {n: t.data.copy() for n, t in model.params.items()}
         m = {n: np.zeros(s) for n, s in shapes.items()}
         v = {n: np.zeros(s) for n, s in shapes.items()}
-        for t, lr in enumerate((1e-3, 3e-3, 2e-3), start=1):
+        for t, lr, factor in ((1, 1e-3, 0.37), (2, 3e-3, 1.0), (3, 2e-3, 0.81)):
             for name, param in model.params.items():
                 g = param.grad = rng.normal(size=shapes[name])
+                if name == "enc.tok_emb":
+                    g[:] = np.where(rng.random(g.shape) < 0.5, -0.0, 0.0)
+                    g[reached[t]] = rng.normal(size=(len(reached[t]), shapes[name][1]))
+                    g[reached[t][::5], :4] = -0.0
+                g = g * factor
                 m[name] = tc.beta1 * m[name] + (1.0 - tc.beta1) * g
                 v[name] = tc.beta2 * v[name] + (1.0 - tc.beta2) * g * g
                 update = (m[name] / (1.0 - tc.beta1 ** t)) / (
@@ -132,17 +145,22 @@ class TestAdamW:
                 p[name] = p[name] - lr * update
                 if name not in model.no_decay:
                     p[name] = p[name] - lr * tc.weight_decay * p[name]
-            adamw_step(model, state, lr, tc)
+            adamw_step(model, state, lr, tc, factor)
         for name, param in model.params.items():
             assert param.data.tobytes() == p[name].tobytes()
             assert state.m[name].tobytes() == m[name].tobytes()
             assert state.v[name].tobytes() == v[name].tobytes()
+        live = np.flatnonzero(state.live["enc.tok_emb"])
+        assert np.array_equal(live, np.r_[0:101, 200:400, 1000:2600])
+        assert state.live.keys() == {"enc.tok_emb"}
 
 
 class TestClipGradients:
     def test_parameters_sharing_one_gradient_are_each_scaled_once(self):
         """`add` and `layer_norm(..., residual=)` hand one gradient array to both
-        parents; clipping must not scale that array once per parameter."""
+        parents. `clip_gradients` only measures; `adamw_step` applies the clip factor
+        as it reads each gradient, so each parameter sees its gradient scaled once
+        and the shared array is never written."""
         cfg = ModelConfig(d_model=2, n_heads=1, n_layers=1, d_ff=2, vocab_size=8)
         rows = [[1.0, -2.0, 3.0]], [[0.5, 0.5, -1.0]], [[2.0, 0.0, 1.0]], [[1.0, 4.0, -1.0]]
         a, b, x, r = (Tensor(np.array(row), requires_grad=True) for row in rows)
@@ -154,14 +172,27 @@ class TestClipGradients:
         T.backward(loss)
         assert a.grad is b.grad and x.grad is r.grad
         model = Model(cfg, {"a": a, "b": b, "x": x, "r": r}, no_decay=set())
-        before = {n: p.grad.copy() for n, p in model.params.items()}
-        norm = math.sqrt(sum(float((g * g).sum()) for g in before.values()))
+        grads = {n: p.grad for n, p in model.params.items()}
+        before = {n: g.tobytes() for n, g in grads.items()}
+        norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
         assert norm > 0.5
-        assert clip_gradients(model, 0.5) == pytest.approx(norm, rel=1e-12)
+        assert clip_gradients(model) == pytest.approx(norm, rel=1e-12)
+        factor = 0.5 / norm
+
+        # The same step on unshared copies of the explicitly scaled gradients.
+        copies = {n: Tensor(p.data.copy(), requires_grad=True) for n, p in model.params.items()}
+        for n, p in copies.items():
+            p.grad = grads[n] * factor
+        reference = Model(cfg, copies, no_decay=set())
+        tc = TrainConfig()
+        state, ref_state = init_opt_state(model), init_opt_state(reference)
+        adamw_step(model, state, 0.1, tc, factor)
+        adamw_step(reference, ref_state, 0.1, tc)
         for name, p in model.params.items():
-            assert np.allclose(p.grad, before[name] * (0.5 / norm), rtol=1e-12, atol=0.0)
-        total = math.sqrt(sum(float((p.grad * p.grad).sum()) for p in model.params.values()))
-        assert total == pytest.approx(0.5, rel=1e-12)
+            assert p.grad is grads[name] and p.grad.tobytes() == before[name]
+            assert p.data.tobytes() == copies[name].data.tobytes()
+            assert state.m[name].tobytes() == ref_state.m[name].tobytes()
+            assert state.v[name].tobytes() == ref_state.v[name].tobytes()
 
 
 class TestTrainConfig:
