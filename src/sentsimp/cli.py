@@ -13,7 +13,6 @@ import json
 import logging
 import os
 import sys
-from contextlib import contextmanager
 from dataclasses import fields
 
 from . import corpus as C
@@ -22,7 +21,7 @@ from . import tokenizer as tok
 from .decoding import STRATEGIES, DecodeConfig, simplify
 from .model import VARIANTS, init_model, variant_config
 from .train import (TrainConfig, TrainingDivergedError, history_tsv, load_checkpoint,
-                    model_from_checkpoint, save_checkpoint, train_loop)
+                    model_from_checkpoint, save_checkpoint, staged_write, train_loop)
 from .tensor import NonFiniteError
 
 log = logging.getLogger(__name__)
@@ -95,21 +94,6 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
         return parser.parse_args([argv[0], *ahead, *argv[1:]])  # argv[0] is "train"
     except ValueError as exc:
         raise ValueError(f"config file {args.config}: {exc}") from exc
-
-
-@contextmanager
-def staged_write(path):
-    """A text file opened beside `path` that replaces it in one rename when the block
-    ends cleanly and is removed when it raises, so `path` holds either its old
-    contents or the complete new ones."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as f:
-            yield f
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
 
 
 def cmd_train(args) -> int:

@@ -3,16 +3,20 @@
 The checkpoint file is the magic "SSCK", then a little-endian uint32
 version (2) and uint64 header length, then a UTF-8 JSON header
 {"config", "vocab", "history", "params": {name: shape}}, then each
-parameter's little-endian float64 bytes in header order. Version 1 files
-are rejected; retrain to get a version 2 checkpoint.
+parameter's little-endian float64 bytes in header order. The header is
+padded with spaces so the payload starts on a 64-byte boundary; an
+unpadded header loads too. Version 1 files are rejected; retrain to get a
+version 2 checkpoint.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import mmap
 import os
 import struct
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields, asdict
 from typing import ClassVar
 
@@ -28,6 +32,7 @@ from .tensor import NonFiniteError
 CHECKPOINT_MAGIC = b"SSCK"
 CHECKPOINT_VERSION = 2
 _PREFIX = struct.Struct("<4sIQ")  # magic, version, header length
+_PAYLOAD_ALIGN = 64  # bytes; the header's trailing spaces pad the payload to this
 _ADAMW_BLOCK = 1 << 15  # elements updated together, so a block's arrays stay in cache
 _HEADER = {"config": dict, "vocab": list, "history": dict, "params": dict}  # key -> JSON type
 
@@ -293,6 +298,28 @@ def history_tsv(history: TrainHistory) -> str:
     return "\n".join(lines) + "\n"
 
 
+@contextmanager
+def staged_write(path, mode: str = "w"):
+    """A file opened beside `path` (UTF-8 text, or binary for mode "wb") that takes the
+    place of `path` when the block ends cleanly and is removed when it raises, so `path`
+    holds either its old contents or the complete new ones.
+
+    The old file is unlinked before the rename, never truncated or renamed over: a
+    process that has it mapped keeps its inode, and ext4 starts no write-out of the
+    new file as it does on a rename over an existing one. `path` is missing between
+    the two calls. Nothing is fsynced."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as f:
+            yield f
+        with suppress(FileNotFoundError):
+            os.remove(path)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     header = json.dumps({
         "config": asdict(ckpt.config),
@@ -300,11 +327,12 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "history": asdict(ckpt.history),
         "params": {name: list(data.shape) for name, data in ckpt.params.items()},
     }).encode("utf-8")
-    with open(path, "wb") as f:
+    header += b" " * (-(_PREFIX.size + len(header)) % _PAYLOAD_ALIGN)
+    with staged_write(path, "wb") as f:
         f.write(_PREFIX.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(header)))
         f.write(header)
         for data in ckpt.params.values():
-            f.write(np.ascontiguousarray(data, dtype="<f8").tobytes())
+            f.write(np.ascontiguousarray(data, dtype="<f8"))
 
 
 def _parse_header(raw: bytes) -> tuple[Checkpoint, dict[str, tuple[int, ...]]]:
@@ -328,8 +356,12 @@ def _parse_header(raw: bytes) -> tuple[Checkpoint, dict[str, tuple[int, ...]]]:
     except ValueError as exc:
         raise CheckpointFormatError(f"bad checkpoint config: {exc}") from exc
     tokens = header["vocab"]
-    if not all(isinstance(t, str) for t in tokens) or tuple(tokens[:4]) != SPECIALS:
+    if set(map(type, tokens)) != {str} or tuple(tokens[:4]) != SPECIALS:
         raise CheckpointFormatError("checkpoint vocabulary is not strings led by the specials")
+    token_to_id = dict(zip(tokens, range(len(tokens))))
+    if len(token_to_id) != len(tokens):
+        repeated = sorted({t for i, t in enumerate(tokens) if token_to_id[t] != i})
+        raise CheckpointFormatError(f"checkpoint vocabulary repeats tokens {repeated}")
     h = header["history"]
     try:
         history = TrainHistory(**{**h, "epochs": [EpochRecord(**r) for r in h["epochs"]]})
@@ -339,12 +371,16 @@ def _parse_header(raw: bytes) -> tuple[Checkpoint, dict[str, tuple[int, ...]]]:
     if not all(isinstance(s, list) and all(type(d) is int and d >= 0 for d in s)
                for s in shapes.values()):
         raise CheckpointFormatError("checkpoint params are not lists of non-negative ints")
-    vocab = Vocabulary({tok: i for i, tok in enumerate(tokens)}, tuple(tokens))
-    return (Checkpoint(config, vocab, {}, history),
+    return (Checkpoint(config, Vocabulary(token_to_id, tuple(tokens)), {}, history),
             {name: tuple(s) for name, s in shapes.items()})
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """The checkpoint at `path`, its tensors views of one private mapping of the file.
+
+    Every check runs before the file is mapped. No payload byte is copied or read until
+    a tensor is used, and writes to a tensor stay in this process. A tensor whose bytes
+    are not 8-byte aligned (a header saved without padding) is copied."""
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         prefix = f.read(_PREFIX.size)
@@ -353,18 +389,21 @@ def load_checkpoint(path) -> Checkpoint:
         _, version, header_len = _PREFIX.unpack(prefix)
         if version != CHECKPOINT_VERSION:
             raise CheckpointFormatError(f"unsupported checkpoint version {version}")
-        # Sizes are checked against the file before anything is read or allocated.
+        # Sizes are checked against the file before anything is read or mapped.
         if header_len > size - _PREFIX.size:
             raise CheckpointFormatError(f"truncated checkpoint file: {path}")
         ckpt, shapes = _parse_header(f.read(header_len))
-        expected = _PREFIX.size + header_len + 8 * sum(math.prod(s) for s in shapes.values())
+        offset = _PREFIX.size + header_len
+        expected = offset + 8 * sum(math.prod(s) for s in shapes.values())
         if size != expected:
             problem = "truncated" if size < expected else "trailing bytes in"
             raise CheckpointFormatError(f"{problem} checkpoint file: {path}")
-        for name, shape in shapes.items():
-            data = ckpt.params[name] = np.empty(shape, dtype="<f8")
-            if f.readinto(data) != data.nbytes:
-                raise CheckpointFormatError(f"truncated checkpoint file: {path}")
+        mapped = mmap.mmap(f.fileno(), size, access=mmap.ACCESS_COPY)
+    for name, shape in shapes.items():
+        count = math.prod(shape)
+        view = np.frombuffer(mapped, "<f8", count, offset).reshape(shape)
+        ckpt.params[name] = np.require(view, requirements="A")
+        offset += 8 * count
     return ckpt
 
 

@@ -6,7 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from sentsimp import cli
+from sentsimp import cli, train
 from sentsimp.cli import main
 from sentsimp.tensor import NonFiniteError
 from sentsimp.train import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, TrainConfig, load_checkpoint,
@@ -209,6 +209,7 @@ CORRUPT = {
     "missing_section": (edited(lambda h: h.pop("history")), "exactly"),
     "extra_section": (edited(lambda h: h.update(variant="bert")), "exactly"),
     "specials": (edited(lambda h: h["vocab"].reverse()), "specials"),
+    "duplicate_token": (edited(lambda h: h["vocab"].__setitem__(-1, h["vocab"][4])), "repeats"),
     "n_heads_0": (edited(lambda h: h["config"].update(n_heads=0)), "n_heads"),
     "negative_shape": (edited(lambda h: h["params"].update({"out.b": [-1]})), "non-negative"),
     "huge_header_length": (lambda h, p: join(h, p, length=2**62), "truncated"),
@@ -388,34 +389,51 @@ def test_file_system_errors_exit_2(case, trained_run, corpus_dir, tmp_path, caps
 
 
 class _FillsUp:
-    """A file on a disk that fills up halfway through the first write."""
+    """A file on a disk with room for `room` more bytes, by default half the first write."""
 
-    def __init__(self, f):
-        self.f = f
+    def __init__(self, f, room=None):
+        self.f, self.room = f, room
 
     def write(self, data):
-        self.f.write(data[:len(data) // 2])
+        if not isinstance(data, str):
+            data = memoryview(data).cast("B")
+        if self.room is None:
+            self.room = len(data) // 2
+        if len(data) <= self.room:
+            self.room -= len(data)
+            return self.f.write(data)
+        self.f.write(data[:self.room])
         raise OSError(28, "No space left on device")
 
 
-@pytest.mark.parametrize("case", ["train", "simplify", "eval", "report"])
+@pytest.mark.parametrize("case", ["train", "checkpoint", "simplify", "eval", "report"])
 def test_write_failing_midway_leaves_no_file(case, trained_run, corpus_dir, tmp_path,
                                              capsys, monkeypatch):
-    target = {"train": "history.tsv", "simplify": "sys.txt", "eval": "report.json",
-              "report": "comparison.txt"}[case]
+    """The target keeps its old bytes, or stays absent, and no temporary file is left."""
+    target = {"train": "history.tsv", "checkpoint": "checkpoint.bin", "simplify": "sys.txt",
+              "eval": "report.json", "report": "comparison.txt"}[case]
     out = tmp_path / "out"
+    out.mkdir()
+    old = room = None
+    if case == "checkpoint":
+        # A disk that fills halfway through the payload, under an older checkpoint.
+        old = (trained_run / "checkpoint.bin").read_bytes()
+        (out / target).write_bytes(old)
+        _, _, n = PREFIX.unpack_from(old)
+        room = len(old) // 2
+        assert PREFIX.size + n < room
     staged_write = cli.staged_write
 
     @contextmanager
-    def filling_up(path):
-        with staged_write(path) as f:
-            yield _FillsUp(f) if str(path).endswith(target) else f
+    def filling_up(path, mode="w"):
+        with staged_write(path, mode) as f:
+            yield _FillsUp(f, room) if str(path).endswith(target) else f
 
     monkeypatch.setattr(cli, "staged_write", filling_up)
-    if case == "simplify":
-        out.mkdir()
+    monkeypatch.setattr(train, "staged_write", filling_up)
     argv = {
         "train": train_args(corpus_dir, out, ["--epochs", "1"]),
+        "checkpoint": train_args(corpus_dir, out, ["--epochs", "1"]),
         "simplify": ["simplify", "--checkpoint", str(trained_run / "checkpoint.bin"),
                      "--input", str(corpus_dir / "test.src"), "--output", str(out / target)],
         "eval": ["eval", "--system", str(corpus_dir / "test.ref.0"),
@@ -425,4 +443,8 @@ def test_write_failing_midway_leaves_no_file(case, trained_run, corpus_dir, tmp_
     assert main(argv) == 2
     assert "No space left on device" in one_error_line(capsys)
     left = [p.name for p in out.iterdir()]
-    assert target not in left and not [n for n in left if n.endswith(".tmp")]
+    assert not [n for n in left if n.endswith(".tmp")]
+    if old is None:
+        assert target not in left
+    else:
+        assert (out / target).read_bytes() == old

@@ -1,11 +1,17 @@
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sentsimp
 from sentsimp import tensor as T
 from sentsimp.corpus import EvalExample
 from sentsimp.model import Model, ModelConfig, forward, init_model
@@ -311,7 +317,9 @@ class TestCheckpointIO:
         raw = path.read_bytes()
         magic, version, n = struct.unpack_from("<4sIQ", raw)
         assert (magic, version) == (b"SSCK", 2)
-        header = json.loads(raw[16:16 + n].decode("utf-8"))
+        text = raw[16:16 + n].decode("utf-8")
+        assert (16 + n) % 64 == 0 and len(text) - len(text.rstrip(" ")) < 64
+        header = json.loads(text)
         assert list(header) == ["config", "vocab", "history", "params"]
         assert header["config"] == {"d_model": 64, "n_heads": 2, "n_layers": 2, "d_ff": 128,
                                     "vocab_size": vocab.size, "max_len": 80,
@@ -333,7 +341,71 @@ class TestCheckpointIO:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * sum(a.nbytes for a in loaded.params.values())
+        # The tensors are views of the mapped file: what is allocated is the header's.
+        assert peak <= 0.1 * sum(a.nbytes for a in loaded.params.values())
+
+    def test_loaded_tensors_are_aligned_private_views(self, tmp_path):
+        ckpt, _, _ = self.make_checkpoint()
+        path = tmp_path / "ck.bin"
+        save_checkpoint(ckpt, path)
+        raw = path.read_bytes()
+        loaded = load_checkpoint(path)
+        for a in loaded.params.values():
+            assert a.flags["ALIGNED"] and a.flags["WRITEABLE"] and a.flags["C_CONTIGUOUS"]
+            a += 1.0
+        assert path.read_bytes() == raw
+        again = load_checkpoint(path)
+        for name, a in ckpt.params.items():
+            assert again.params[name].tobytes() == a.tobytes()
+            assert loaded.params[name].tobytes() == (a + 1.0).tobytes()
+
+    def test_unpadded_header_loads_identically(self, tmp_path):
+        """A file saved before the header was padded: its payload starts wherever the
+        JSON ends, here (and in most such files) off the 8-byte grid."""
+        ckpt, _, _ = self.make_checkpoint()
+        path = tmp_path / "ck.bin"
+        save_checkpoint(ckpt, path)
+        raw = path.read_bytes()
+        _, _, n = struct.unpack_from("<4sIQ", raw)
+        header = raw[16:16 + n].rstrip(b" ")
+        if (16 + len(header)) % 8 == 0:
+            header += b" "
+        path.write_bytes(struct.pack("<4sIQ", b"SSCK", 2, len(header)) + header
+                         + raw[16 + n:])
+        loaded = load_checkpoint(path)
+        assert loaded.vocab == ckpt.vocab and loaded.history == ckpt.history
+        for name, a in ckpt.params.items():
+            assert loaded.params[name].flags["ALIGNED"]
+            assert loaded.params[name].tobytes() == a.tobytes()
+
+    def test_saving_over_a_loaded_checkpoint_keeps_its_tensors(self, tmp_path):
+        """A save replaces the file by a rename, so tensors loaded from the old file keep
+        its bytes. The check runs in a child process: had the save rewritten the mapped
+        file in place, reading those tensors would kill it with SIGBUS."""
+        ckpt, _, _ = self.make_checkpoint()
+        path = tmp_path / "ck.bin"
+        save_checkpoint(ckpt, path)
+        script = textwrap.dedent("""
+            import os
+            import sys
+            from sentsimp.train import load_checkpoint, save_checkpoint
+            path = sys.argv[1]
+            with open(path, "rb") as f:
+                raw = f.read()
+            first = load_checkpoint(path)
+            other = load_checkpoint(path)
+            name = next(iter(other.params))
+            other.params = {name: other.params[name][:1] * 2.0}
+            save_checkpoint(other, path)
+            assert os.path.getsize(path) < len(raw) // 2
+            payload = b"".join(a.tobytes() for a in first.params.values())
+            assert raw.endswith(payload), "a loaded tensor changed under a save"
+        """)
+        src = str(Path(sentsimp.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, (done.returncode, done.stderr)
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
