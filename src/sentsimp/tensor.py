@@ -336,21 +336,7 @@ def _relative_error(analytic: np.ndarray, numeric: np.ndarray) -> np.ndarray:
 def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> float:
     """Max relative error between analytic grad of f at x and central differences."""
     xt = Tensor(x.data.copy(), requires_grad=True)
-    backward(f(xt))
-    analytic = xt.grad.reshape(-1).copy()
-
-    probe = Tensor(x.data.copy())
-    flat = probe.data.reshape(-1)
-    numeric = np.zeros_like(flat)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        plus = float(f(probe).data)
-        flat[i] = orig - h
-        minus = float(f(probe).data)
-        flat[i] = orig
-        numeric[i] = (plus - minus) / (2.0 * h)
-    return float(_relative_error(analytic, numeric).max())
+    return grad_check_params(lambda: f(xt), [xt], h)
 
 
 def grad_check_params(loss_fn: Callable[[], Tensor], params: Sequence[Tensor],
@@ -388,8 +374,9 @@ def grad_check_params(loss_fn: Callable[[], Tensor], params: Sequence[Tensor],
                 minus = float(loss_fn().data)
                 flat[i] = orig
                 numeric = (plus - minus) / (2.0 * h)
-                worst = max(worst, float(_relative_error(a[i], numeric)))
-        return worst
+                # np.maximum, unlike max, keeps a NaN error.
+                worst = np.maximum(worst, _relative_error(a[i], numeric))
+        return float(worst)
     finally:
         for p, flag in zip(params, flags):
             p.requires_grad = flag

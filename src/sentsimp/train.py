@@ -18,6 +18,7 @@ import os
 import struct
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields, asdict
+from itertools import zip_longest
 from typing import ClassVar
 
 import numpy as np
@@ -122,10 +123,7 @@ def onecycle_lr(step: int, total_steps: int, cfg: TrainConfig) -> float:
         return cfg.max_lr
     if step < peak:
         return cfg.base_lr + (cfg.max_lr - cfg.base_lr) * (step / peak)
-    span = total_steps - 1 - peak
-    if span <= 0:
-        return cfg.final_lr
-    t = (step - peak) / span
+    t = (step - peak) / (total_steps - 1 - peak)
     return cfg.final_lr + (cfg.max_lr - cfg.final_lr) * 0.5 * (1.0 + math.cos(math.pi * t))
 
 
@@ -336,7 +334,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def _parse_header(raw: bytes) -> tuple[Checkpoint, dict[str, tuple[int, ...]]]:
-    """The checkpoint the header describes, without its arrays, and their shapes."""
+    """The checkpoint the header describes, without its arrays, and their shapes: the
+    header must declare exactly the parameters and vocabulary size of its config."""
     try:
         header = json.loads(raw)
     except (ValueError, RecursionError) as exc:
@@ -362,17 +361,22 @@ def _parse_header(raw: bytes) -> tuple[Checkpoint, dict[str, tuple[int, ...]]]:
     if len(token_to_id) != len(tokens):
         repeated = sorted({t for i, t in enumerate(tokens) if token_to_id[t] != i})
         raise CheckpointFormatError(f"checkpoint vocabulary repeats tokens {repeated}")
+    if len(tokens) != config.vocab_size:
+        raise CheckpointFormatError(f"checkpoint vocabulary has {len(tokens)} tokens, "
+                                    f"its config's vocab_size is {config.vocab_size}")
     h = header["history"]
     try:
         history = TrainHistory(**{**h, "epochs": [EpochRecord(**r) for r in h["epochs"]]})
     except (TypeError, KeyError) as exc:
         raise CheckpointFormatError(f"bad checkpoint history: {exc!r}") from exc
-    shapes = header["params"]
-    if not all(isinstance(s, list) and all(type(d) is int and d >= 0 for d in s)
-               for s in shapes.values()):
-        raise CheckpointFormatError("checkpoint params are not lists of non-negative ints")
-    return (Checkpoint(config, Vocabulary(token_to_id, tuple(tokens)), {}, history),
-            {name: tuple(s) for name, s in shapes.items()})
+    shapes = param_shapes(config)
+    # Compared as JSON text, so order counts and a shape of true or 64.0 is not 1 or 64.
+    if json.dumps(header["params"]) != json.dumps(shapes):
+        got, need = next((g, n) for g, n in zip_longest(header["params"].items(), shapes.items())
+                         if json.dumps(g) != json.dumps(n))
+        raise CheckpointFormatError(f"checkpoint params do not match its config: header has "
+                                    f"{json.dumps(got)}, config needs {json.dumps(need)}")
+    return Checkpoint(config, Vocabulary(token_to_id, tuple(tokens)), {}, history), shapes
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -408,15 +412,6 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> Model:
-    """A model over the checkpoint's arrays, which must be exactly the config's parameters."""
-    shapes = param_shapes(ckpt.config)
-    missing = sorted(set(shapes) - set(ckpt.params))
-    extra = sorted(set(ckpt.params) - set(shapes))
-    if missing or extra:
-        raise CheckpointFormatError(
-            f"checkpoint parameters do not match its config: missing {missing}, extra {extra}")
-    for name, shape in shapes.items():
-        if ckpt.params[name].shape != shape:
-            raise CheckpointFormatError(
-                f"parameter {name} has shape {ckpt.params[name].shape}, config needs {shape}")
-    return model_from_arrays(ckpt.config, {name: ckpt.params[name] for name in shapes})
+    """A model over the checkpoint's arrays, which `load_checkpoint` has checked against
+    its config."""
+    return model_from_arrays(ckpt.config, ckpt.params)

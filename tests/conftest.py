@@ -1,3 +1,4 @@
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -10,11 +11,16 @@ from sentsimp import corpus as C
 from sentsimp import tokenizer as tok
 from sentsimp.model import ModelConfig, init_model
 
-SIMPLE_NOUNS = ["cat", "dog", "man", "sun", "tree", "bird", "fish", "house"]
-SIMPLE_VERBS = ["saw", "ate", "held", "chased"]
-SIMPLE_PLACES = ["park", "yard", "field", "barn"]
-COMPLEX_ADJS = ["perspicacious", "grandiloquent", "sesquipedalian", "obstreperous",
-                "pulchritudinous", "magnanimous"]
+
+def _load_toy_generator():
+    path = Path(__file__).parent.parent / "scripts" / "make_toy_corpus.py"
+    spec = importlib.util.spec_from_file_location("make_toy_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_TOY = _load_toy_generator()
 
 
 def make_toy_pairs(n: int, seed: int = 0) -> list[tuple[str, str]]:
@@ -24,29 +30,12 @@ def make_toy_pairs(n: int, seed: int = 0) -> list[tuple[str, str]]:
     a perfect simplification adds a word absent from the source, keeps a
     shared 4-gram, and deletes source material at every n-gram order.
     """
-    rng = np.random.default_rng(seed)
-    pairs = []
-    seen = set()
-    while len(pairs) < n:
-        n1, n2 = rng.choice(SIMPLE_NOUNS, 2, replace=False)
-        verb = rng.choice(SIMPLE_VERBS)
-        adj = rng.choice(COMPLEX_ADJS)
-        place = rng.choice(SIMPLE_PLACES)
-        src = f"the {adj} {n1} {verb} the {n2} in the {place}"
-        tgt = f"a {n1} {verb} the {n2} in the {place}"
-        if src in seen:
-            continue
-        seen.add(src)
-        pairs.append((src, tgt))
-    return pairs
+    return _TOY.make_pairs(n, seed)
 
 
 def write_corpus(dirpath: Path, stem: str, pairs, n_refs: int = 1) -> None:
     """Write <stem>.src, <stem>.tgt and <stem>.ref.0..n_refs-1 (refs copy tgt)."""
-    (dirpath / f"{stem}.src").write_text("".join(s + "\n" for s, _ in pairs))
-    (dirpath / f"{stem}.tgt").write_text("".join(t + "\n" for _, t in pairs))
-    for r in range(n_refs):
-        (dirpath / f"{stem}.ref.{r}").write_text("".join(t + "\n" for _, t in pairs))
+    _TOY.write_split(dirpath, stem, pairs, n_refs)
 
 
 def toy_vocab(pairs) -> tok.Vocabulary:

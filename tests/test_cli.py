@@ -200,6 +200,13 @@ def edited(edit):
     return build
 
 
+def swapped(params: dict, i: int, j: int) -> dict:
+    """`params` with its i-th and j-th entries trading places."""
+    items = list(params.items())
+    items[i], items[j] = items[j], items[i]
+    return dict(items)
+
+
 # id -> (build(header, payload) -> file bytes, text the error must name)
 CORRUPT = {
     "unknown_key": (edited(lambda h: h["config"].update(activation="gelu")), "activation"),
@@ -211,9 +218,15 @@ CORRUPT = {
     "specials": (edited(lambda h: h["vocab"].reverse()), "specials"),
     "duplicate_token": (edited(lambda h: h["vocab"].__setitem__(-1, h["vocab"][4])), "repeats"),
     "n_heads_0": (edited(lambda h: h["config"].update(n_heads=0)), "n_heads"),
-    "negative_shape": (edited(lambda h: h["params"].update({"out.b": [-1]})), "non-negative"),
+    "vocab_longer": (edited(lambda h: h["vocab"].append("zebra")), "vocab_size"),
+    "vocab_shorter": (edited(lambda h: h["vocab"].pop()), "vocab_size"),
+    "params_reordered": (edited(lambda h: h.update(params=swapped(h["params"], 0, 2))),
+                         "enc.tok_emb"),
+    "float_shape": (edited(lambda h: h["params"].update(
+        {"out.b": [float(d) for d in h["params"]["out.b"]]})), "out.b"),
+    "negative_shape": (edited(lambda h: h["params"].update({"out.b": [-1]})), "out.b"),
     "huge_header_length": (lambda h, p: join(h, p, length=2**62), "truncated"),
-    "huge_shape": (edited(lambda h: h["params"].update({"out.b": [2**40, 2**40]})), "truncated"),
+    "huge_shape": (edited(lambda h: h["params"].update({"out.b": [2**40, 2**40]})), "out.b"),
     "trailing_bytes": (lambda h, p: join(h, p + bytes(8)), "trailing"),
     # The reader stops at the version, so a version 1 prefix stands for a whole v1 file.
     "v1_file": (lambda h, p: join(h, p, version=1), "version 1"),

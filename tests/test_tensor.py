@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from sentsimp import tensor as T
 from sentsimp.tensor import (FullyMaskedError, GraphError, NonFiniteError, ShapeError,
-                             Tensor, backward, grad_check)
+                             Tensor, backward, grad_check, grad_check_params)
 
 
 def tensor(data, rg=False):
@@ -288,6 +288,16 @@ class TestGradCheck:
     def test_gelu_chain(self):
         err = grad_check(lambda x: tensor_sum(T.gelu(x)), tensor([-2.0, 0.5, 3.0]))
         assert err < 1e-6
+
+    def test_nan_gradient_is_reported(self):
+        # A sum whose backward is NaN on the last two of three entries.
+        def broken_sum(t):
+            return T._result(np.asarray(t.data.sum()), (t,),
+                             lambda g: (np.array([g, np.nan, np.nan]),))
+
+        x = tensor([1.0, 2.0, 3.0], rg=True)
+        assert math.isnan(grad_check_params(lambda: broken_sum(x), [x]))
+        assert math.isnan(grad_check(broken_sum, x))
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)

@@ -4,23 +4,26 @@ import os
 import struct
 import subprocess
 import sys
+import tempfile
 import textwrap
 import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sentsimp
 from sentsimp import tensor as T
 from sentsimp.corpus import EvalExample
-from sentsimp.model import Model, ModelConfig, forward, init_model
+from sentsimp.model import Model, ModelConfig, forward, init_model, param_shapes
 from sentsimp.tensor import Tensor
 from sentsimp.train import (Checkpoint, CheckpointFormatError, EpochRecord, TrainConfig,
                             TrainHistory, adamw_step, clip_gradients, history_tsv, init_opt_state,
                             load_checkpoint, model_from_checkpoint, onecycle_lr,
-                            save_checkpoint, train_loop)
-from sentsimp.tokenizer import build_vocab
+                            save_checkpoint, train_loop, _parse_header)
+from sentsimp.tokenizer import SPECIALS, build_vocab
 from sentsimp.decoding import DecodeConfig, simplify
 
 from conftest import (make_toy_pairs, random_batch, tokenized_batches, toy_model_config,
@@ -429,3 +432,46 @@ class TestCheckpointIO:
         cfg = DecodeConfig(max_len=16)
         source = "the perspicacious cat saw the tree"
         assert simplify(restored, vocab, source, cfg) == simplify(model, vocab, source, cfg)
+
+    @pytest.mark.parametrize("dim", [True, 1.0])
+    def test_shapes_must_be_json_integers(self, dim):
+        config = ModelConfig(d_model=1, n_heads=1, n_layers=1, d_ff=1, vocab_size=4, max_len=3)
+        header = {"config": asdict(config), "vocab": list(SPECIALS),
+                  "history": asdict(TrainHistory()),
+                  "params": {name: list(s) for name, s in param_shapes(config).items()}}
+        assert _parse_header(json.dumps(header).encode())[0].config == config
+        header["params"]["dec.0.ln3.gain"] = [dim]  # equal to 1 in Python, not in JSON
+        with pytest.raises(CheckpointFormatError, match="dec.0.ln3.gain"):
+            _parse_header(json.dumps(header).encode())
+
+    @pytest.fixture(scope="class")
+    def saved_bytes(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("ckpt") / "ck.bin"
+        save_checkpoint(self.make_checkpoint()[0], path)
+        return path.read_bytes()
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_damaged_file_is_rejected_or_matches_its_config(self, saved_bytes, data):
+        """A truncation anywhere, or one changed byte in the prefix or header, either
+        raises CheckpointFormatError or leaves a file that holds exactly the parameters
+        and vocabulary its config declares."""
+        raw = saved_bytes
+        if data.draw(st.booleans(), label="truncate"):
+            damaged = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+        else:
+            at = data.draw(st.integers(0, 16 + struct.unpack_from("<Q", raw, 8)[0] - 1),
+                           label="at")
+            byte = data.draw(st.integers(0, 255).filter(lambda b: b != raw[at]), label="byte")
+            damaged = raw[:at] + bytes([byte]) + raw[at + 1:]
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "ck.bin"
+            path.write_bytes(damaged)
+            try:
+                ckpt = load_checkpoint(path)
+            except CheckpointFormatError:
+                return
+        model = model_from_checkpoint(ckpt)
+        assert ckpt.vocab.size == ckpt.config.vocab_size
+        assert [(n, p.shape) for n, p in model.params.items()] == list(
+            param_shapes(ckpt.config).items())
