@@ -39,10 +39,6 @@ class Batch:
     target_out_ids: np.ndarray    # int64 [B, Lt]
     target_pad_mask: np.ndarray   # bool  [B, Lt]
 
-    @property
-    def size(self) -> int:
-        return self.source_ids.shape[0]
-
 
 def _read_lines(path) -> list[str]:
     with open(path, encoding="utf-8") as f:
@@ -118,14 +114,15 @@ def make_batches(examples, batch_size: int, pad_id: int, max_len: int,
     batches = []
     for start in range(0, len(examples), batch_size):
         chunk = [examples[i] for i in order[start:start + batch_size]]
-        src_ids, src_mask = _pad_block([s for s, _ in chunk], pad_id)
-        tin_ids, tin_mask = _pad_block([t[:-1] for _, t in chunk], pad_id)
-        tout_ids, _ = _pad_block([t[1:] for _, t in chunk], pad_id)
+        src_ids, src_mask = pad_block([s for s, _ in chunk], pad_id)
+        tin_ids, tin_mask = pad_block([t[:-1] for _, t in chunk], pad_id)
+        tout_ids, _ = pad_block([t[1:] for _, t in chunk], pad_id)
         batches.append(Batch(src_ids, src_mask, tin_ids, tout_ids, tin_mask))
     return batches
 
 
-def _pad_block(seqs, pad_id):
+def pad_block(seqs, pad_id) -> tuple[np.ndarray, np.ndarray]:
+    """Rows padded with pad_id to the longest: int64 ids and a bool mask, True at tokens."""
     width = max(len(s) for s in seqs)
     ids = np.full((len(seqs), width), pad_id, dtype=np.int64)
     mask = np.zeros((len(seqs), width), dtype=bool)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import pad_block
 from .model import DecoderCache, Model, decoder_logits, encode_source
 from .tensor import Tensor
 from .tokenizer import Vocabulary, decode as decode_ids, encode
@@ -44,11 +45,8 @@ def _cached_step(model: Model, vocab: Vocabulary, sources: list[str], cfg: Decod
     cap, which never exceeds the model's positions. After the first call, each prefix
     extends by one token the prefix of row rows[i] of the previous call."""
     cap = min(cfg.max_len, model.config.max_len)
-    model = Model(model.config, {n: Tensor(p.data) for n, p in model.params.items()}, set())
-    encoded = [encode(vocab, s, cap).ids for s in sources]
-    width = max(len(ids) for ids in encoded)
-    src_ids = np.asarray([ids + (vocab.pad_id,) * (width - len(ids)) for ids in encoded])
-    src_mask = np.arange(width) < np.asarray([len(ids) for ids in encoded])[:, None]
+    model = Model(model.config, {n: Tensor(p.data) for n, p in model.params.items()})
+    src_ids, src_mask = pad_block([encode(vocab, s, cap).ids for s in sources], vocab.pad_id)
     enc_out = encode_source(model, src_ids, src_mask)
     cache = DecoderCache()
 

@@ -89,15 +89,15 @@ def variant_config(name: str, scale: str, vocab_size: int | None = None) -> Mode
 
 
 class Model:
-    """Named parameter tensors plus the config that shaped them."""
+    """Named parameter tensors plus the config that shaped them. A parameter's name gives
+    its role: layer norms (`.ln`) are exempt from weight decay, and the embedding tables
+    (`_emb`) get a gradient only in the rows of the ids or positions a batch holds."""
 
-    def __init__(self, config: ModelConfig, params: dict[str, Tensor], no_decay: set[str],
-                 embeddings: frozenset[str] = frozenset()):
+    def __init__(self, config: ModelConfig, params: dict[str, Tensor]):
         self.config = config
         self.params = params
-        self.no_decay = no_decay
-        # Tables whose rows get a gradient only from the ids or positions a batch holds.
-        self.embeddings = embeddings
+        self.no_decay = {name for name in params if ".ln" in name}
+        self.embeddings = frozenset(name for name in params if name.endswith("_emb"))
 
     def parameters(self) -> list[Tensor]:
         return list(self.params.values())
@@ -174,10 +174,8 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
 
 
 def model_from_arrays(config: ModelConfig, arrays: dict[str, np.ndarray]) -> Model:
-    """Trainable tensors over the given arrays; layer norms are exempt from weight decay."""
-    params = {name: Tensor(data, requires_grad=True) for name, data in arrays.items()}
-    return Model(config, params, {name for name in params if ".ln" in name},
-                 frozenset(name for name in params if name.endswith("_emb")))
+    """Trainable tensors over the given arrays."""
+    return Model(config, {name: Tensor(data, requires_grad=True) for name, data in arrays.items()})
 
 
 def init_model(config: ModelConfig, seed: int) -> Model:

@@ -256,10 +256,10 @@ def train_loop(model: Model, train_batches: list[Batch], valid: list[EvalExample
     step = 0
     lr = cfg.base_lr
 
+    T.zero_grad(model.parameters())
     for epoch in range(1, cfg.epochs + 1):
         losses = []
         for bi, batch in enumerate(train_batches):
-            T.zero_grad(model.parameters())
             try:
                 logits = forward(model, batch, train_mode=True, rng=rng)
                 loss = T.cross_entropy(logits, batch.target_out_ids, ignore_id=vocab.pad_id)
@@ -268,12 +268,14 @@ def train_loop(model: Model, train_batches: list[Batch], valid: list[EvalExample
                     f"non-finite loss at epoch {epoch}, batch {bi}"
                 ) from exc
             T.backward(loss)
+            losses.append(loss.item())
+            del logits, loss  # the graph, freed before the update and the next forward
             norm = clip_gradients(model)
             factor = cfg.clip_norm / norm if norm > cfg.clip_norm else 1.0
             lr = onecycle_lr(step, total_steps, cfg)
             adamw_step(model, state, lr, cfg, factor)
+            T.zero_grad(model.parameters())  # no gradient lives through validation
             step += 1
-            losses.append(loss.item())
 
         valid_sari = score_fn(model)
         history.epochs.append(EpochRecord(epoch, sum(losses) / len(losses), valid_sari, lr))
@@ -318,12 +320,32 @@ def staged_write(path, mode: str = "w"):
             os.remove(tmp)
 
 
+def _declared_shapes(config: ModelConfig, params: dict, n_tokens: int) -> dict:
+    """`param_shapes(config)`, if `params` (name -> shape tuple) equals it in order and the
+    vocabulary has `config.vocab_size` tokens; else CheckpointFormatError. Load and save use it."""
+    if n_tokens != config.vocab_size:
+        raise CheckpointFormatError(f"checkpoint vocabulary has {n_tokens} tokens, "
+                                    f"its config's vocab_size is {config.vocab_size}")
+    shapes = param_shapes(config)
+    if list(params.items()) != list(shapes.items()):
+        got, need = next((g, n) for g, n in zip_longest(params.items(), shapes.items())
+                         if g != n)
+        raise CheckpointFormatError(f"checkpoint params do not match its config: checkpoint "
+                                    f"has {json.dumps(got)}, config needs {json.dumps(need)}")
+    return shapes
+
+
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
+    """Write `ckpt` through `staged_write`. Its params and vocabulary must be exactly those
+    its config declares, as `load_checkpoint` demands; a mismatch raises
+    CheckpointFormatError before the file is opened."""
+    shapes = _declared_shapes(ckpt.config, {n: a.shape for n, a in ckpt.params.items()},
+                              ckpt.vocab.size)
     header = json.dumps({
         "config": asdict(ckpt.config),
         "vocab": list(ckpt.vocab.id_to_token),
         "history": asdict(ckpt.history),
-        "params": {name: list(data.shape) for name, data in ckpt.params.items()},
+        "params": shapes,
     }).encode("utf-8")
     header += b" " * (-(_PREFIX.size + len(header)) % _PAYLOAD_ALIGN)
     with staged_write(path, "wb") as f:
@@ -361,21 +383,16 @@ def _parse_header(raw: bytes) -> tuple[Checkpoint, dict[str, tuple[int, ...]]]:
     if len(token_to_id) != len(tokens):
         repeated = sorted({t for i, t in enumerate(tokens) if token_to_id[t] != i})
         raise CheckpointFormatError(f"checkpoint vocabulary repeats tokens {repeated}")
-    if len(tokens) != config.vocab_size:
-        raise CheckpointFormatError(f"checkpoint vocabulary has {len(tokens)} tokens, "
-                                    f"its config's vocab_size is {config.vocab_size}")
+    # Only a list of JSON integers becomes a shape tuple, so a dimension of true or 64.0
+    # never passes as 1 or 64.
+    params = {name: tuple(s) if type(s) is list and all(type(d) is int for d in s) else s
+              for name, s in header["params"].items()}
+    shapes = _declared_shapes(config, params, len(tokens))
     h = header["history"]
     try:
         history = TrainHistory(**{**h, "epochs": [EpochRecord(**r) for r in h["epochs"]]})
     except (TypeError, KeyError) as exc:
         raise CheckpointFormatError(f"bad checkpoint history: {exc!r}") from exc
-    shapes = param_shapes(config)
-    # Compared as JSON text, so order counts and a shape of true or 64.0 is not 1 or 64.
-    if json.dumps(header["params"]) != json.dumps(shapes):
-        got, need = next((g, n) for g, n in zip_longest(header["params"].items(), shapes.items())
-                         if json.dumps(g) != json.dumps(n))
-        raise CheckpointFormatError(f"checkpoint params do not match its config: header has "
-                                    f"{json.dumps(got)}, config needs {json.dumps(need)}")
     return Checkpoint(config, Vocabulary(token_to_id, tuple(tokens)), {}, history), shapes
 
 

@@ -16,11 +16,11 @@ from sentsimp.corpus import EvalExample
 from sentsimp.decoding import DecodeConfig, greedy_decode_batch
 from sentsimp.model import encode_source, forward, init_model, variant_config
 from sentsimp.sari import sari_corpus, sari_sentence
-from sentsimp.tensor import grad_check_params
 from sentsimp.train import TrainConfig, onecycle_lr, train_loop
 
 from conftest import (make_toy_pairs, random_batch, tokenized_batches, toy_model_config,
                       toy_vocab, write_corpus)
+from gradcheck import grad_check_params
 from sari_oracle import oracle_sari
 
 

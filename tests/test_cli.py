@@ -1,16 +1,18 @@
+import io
 import json
 import struct
-from contextlib import contextmanager
+import tempfile
+from contextlib import contextmanager, redirect_stderr
 from dataclasses import fields
+from pathlib import Path
 
-import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sentsimp import cli, train
 from sentsimp.cli import main
 from sentsimp.tensor import NonFiniteError
-from sentsimp.train import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, TrainConfig, load_checkpoint,
-                            save_checkpoint)
+from sentsimp.train import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, TrainConfig
 
 from conftest import make_toy_pairs, write_corpus
 
@@ -192,6 +194,12 @@ def join(header, payload: bytes, version=CHECKPOINT_VERSION, length=None) -> byt
                        len(text) if length is None else length) + text + payload
 
 
+def split(raw: bytes) -> tuple[dict, bytes]:
+    """A checkpoint file's decoded header and its payload bytes."""
+    _, _, n = PREFIX.unpack_from(raw)
+    return json.loads(raw[PREFIX.size:PREFIX.size + n]), raw[PREFIX.size + n:]
+
+
 def edited(edit):
     """A corruption that edits the decoded header in place and re-encodes it."""
     def build(header, payload):
@@ -205,6 +213,21 @@ def swapped(params: dict, i: int, j: int) -> dict:
     items = list(params.items())
     items[i], items[j] = items[j], items[i]
     return dict(items)
+
+
+# A header's params edited in place -> the payload a save of such tensors would write.
+def _missing(params, payload):
+    return payload[:-8 * params.pop("out.b")[0]]
+
+
+def _extra(params, payload):
+    params["bogus.w"] = [2]
+    return payload + bytes(16)
+
+
+def _wrong_shape(params, payload):
+    params["out.b"][0] -= 1
+    return payload[:-8]
 
 
 # id -> (build(header, payload) -> file bytes, text the error must name)
@@ -261,17 +284,14 @@ class TestSimplify:
                      str(corpus_dir / "test.src"), "--output", str(tmp_path / "o")]) == 2
         return one_error_line(capsys)
 
-    @pytest.mark.parametrize("edit", [
-        lambda params: params.pop("out.b"),
-        lambda params: params.__setitem__("bogus.w", np.zeros(2)),
-        lambda params: params.__setitem__("out.b", params["out.b"][:-1]),
-    ], ids=["missing", "extra", "wrong_shape"])
+    @pytest.mark.parametrize("edit", [_missing, _extra, _wrong_shape],
+                             ids=["missing", "extra", "wrong_shape"])
     def test_parameter_set_mismatch_exits_2(self, edit, trained_run, corpus_dir,
                                             tmp_path, capsys):
-        ckpt = load_checkpoint(trained_run / "checkpoint.bin")
-        edit(ckpt.params)
+        header, payload = split((trained_run / "checkpoint.bin").read_bytes())
+        payload = edit(header["params"], payload)
         path = tmp_path / "edited.bin"
-        save_checkpoint(ckpt, path)
+        path.write_bytes(join(header, payload))
         message = self.simplify_error(path, corpus_dir, tmp_path, capsys)
         assert "bogus.w" in message or "out.b" in message
 
@@ -279,11 +299,8 @@ class TestSimplify:
     def test_corrupt_config_block_exits_2(self, case, trained_run, corpus_dir, tmp_path,
                                           capsys):
         build, named = CORRUPT[case]
-        raw = (trained_run / "checkpoint.bin").read_bytes()
-        _, _, n = PREFIX.unpack_from(raw)
-        header = json.loads(raw[PREFIX.size:PREFIX.size + n])
         path = tmp_path / "edited.bin"
-        path.write_bytes(build(header, raw[PREFIX.size + n:]))
+        path.write_bytes(build(*split((trained_run / "checkpoint.bin").read_bytes())))
         assert named in self.simplify_error(path, corpus_dir, tmp_path, capsys)
 
     def test_failure_midway_writes_no_output(self, trained_run, corpus_dir, tmp_path,
@@ -372,6 +389,32 @@ class TestReport:
         d.mkdir()
         assert main(["report", str(d)]) == 0
         assert "43.30" in capsys.readouterr().out
+
+
+_VALUES = st.one_of(st.text(max_size=12), st.integers().map(str), st.floats().map(repr),
+                   st.sampled_from(["", "none", "bert", "gpt2+bert", "toy", "paper"]))
+_CONFIG_LINES = st.one_of(
+    st.builds("{}={}".format, st.sampled_from([*cli.TRAIN_SETTINGS, "out"]) | st.text(max_size=8),
+              _VALUES),
+    st.text(max_size=24))
+
+
+@given(st.lists(_CONFIG_LINES, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_random_config_file_ends_in_one_error_line(lines):
+    """Settings are checked before the corpus is read, and the corpus is missing, so
+    whatever the file holds, `train` exits 2 with one `error:` line."""
+    with tempfile.TemporaryDirectory() as d:
+        config = Path(d) / "run.cfg"
+        config.write_text("\n".join(lines), encoding="utf-8")
+        stderr = io.StringIO()
+        with redirect_stderr(stderr):
+            code = main(["train", "--config", str(config), "--out", str(Path(d) / "out"),
+                         "--train-src", str(Path(d) / "absent.src"),
+                         "--train-tgt", str(Path(d) / "absent.tgt"),
+                         "--valid-stem", str(Path(d) / "valid")])
+    err = stderr.getvalue().splitlines()
+    assert code == 2 and len(err) == 1 and err[0].startswith("error:"), (code, err)
 
 
 @pytest.mark.parametrize("case", ["simplify_output_is_dir", "simplify_input_is_dir",

@@ -102,7 +102,7 @@ def seqs(k):
 class TestMakeBatches:
     def test_batch_sizes(self):
         batches = C.make_batches(seqs(10), 4, pad_id=0, max_len=80)
-        assert [b.size for b in batches] == [4, 4, 2]
+        assert [b.source_ids.shape[0] for b in batches] == [4, 4, 2]
 
     def test_same_seed_same_composition(self):
         a = C.make_batches(seqs(10), 4, 0, 80, shuffle_seed=7)
@@ -143,7 +143,7 @@ class TestMakeBatches:
         batches = C.make_batches(pairs, batch_size, 0, 80, shuffle_seed=seed)
         rows = []
         for b in batches:
-            for i in range(b.size):
+            for i in range(b.source_ids.shape[0]):
                 src = tuple(b.source_ids[i][b.source_pad_mask[i]])
                 tin = tuple(b.target_in_ids[i][b.target_pad_mask[i]])
                 rows.append((src, tin + (2,)))

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -23,7 +24,7 @@ from sentsimp.train import (Checkpoint, CheckpointFormatError, EpochRecord, Trai
                             TrainHistory, adamw_step, clip_gradients, history_tsv, init_opt_state,
                             load_checkpoint, model_from_checkpoint, onecycle_lr,
                             save_checkpoint, train_loop, _parse_header)
-from sentsimp.tokenizer import SPECIALS, build_vocab
+from sentsimp.tokenizer import SPECIALS, Vocabulary, build_vocab
 from sentsimp.decoding import DecodeConfig, simplify
 
 from conftest import (make_toy_pairs, random_batch, tokenized_batches, toy_model_config,
@@ -68,7 +69,7 @@ class TestOneCycle:
 def scalar_model(value: float) -> Model:
     cfg = ModelConfig(d_model=2, n_heads=1, n_layers=1, d_ff=2, vocab_size=8)
     p = Tensor(np.array([value]), requires_grad=True)
-    return Model(cfg, {"w": p}, no_decay=set())
+    return Model(cfg, {"w": p})
 
 
 class TestAdamW:
@@ -113,7 +114,7 @@ class TestAdamW:
     def test_layer_norm_params_not_decayed(self):
         cfg = ModelConfig(d_model=2, n_heads=1, n_layers=1, d_ff=2, vocab_size=8)
         p = Tensor(np.array([1.0]), requires_grad=True)
-        model = Model(cfg, {"enc.0.ln1.gain": p}, no_decay={"enc.0.ln1.gain"})
+        model = Model(cfg, {"enc.0.ln1.gain": p})
         p.grad = np.array([0.0])
         adamw_step(model, init_opt_state(model), 0.1, TrainConfig())
         assert p.data[0] == 1.0
@@ -127,8 +128,7 @@ class TestAdamW:
         shapes = {"big": (3001, 37), "vec": (5,), "enc.0.ln1.gain": (7,),
                   "enc.tok_emb": (3001, 37)}
         model = Model(cfg, {n: Tensor(rng.normal(size=s), requires_grad=True)
-                            for n, s in shapes.items()}, no_decay={"enc.0.ln1.gain"},
-                      embeddings=frozenset({"enc.tok_emb"}))
+                            for n, s in shapes.items()})
         model.params["enc.tok_emb"].data[::7, ::3] = -0.0
         # Rows of the table that a step's gradient reaches: 0-99 from step 1, 200-399
         # from step 2 (live share 10%), 1000-2599 at step 3 only (share 60%). Row 100
@@ -180,7 +180,7 @@ class TestClipGradients:
                          lambda g: (g * weights.data,))
         T.backward(loss)
         assert a.grad is b.grad and x.grad is r.grad
-        model = Model(cfg, {"a": a, "b": b, "x": x, "r": r}, no_decay=set())
+        model = Model(cfg, {"a": a, "b": b, "x": x, "r": r})
         grads = {n: p.grad for n, p in model.params.items()}
         before = {n: g.tobytes() for n, g in grads.items()}
         norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
@@ -192,7 +192,7 @@ class TestClipGradients:
         copies = {n: Tensor(p.data.copy(), requires_grad=True) for n, p in model.params.items()}
         for n, p in copies.items():
             p.grad = grads[n] * factor
-        reference = Model(cfg, copies, no_decay=set())
+        reference = Model(cfg, copies)
         tc = TrainConfig()
         state, ref_state = init_opt_state(model), init_opt_state(reference)
         adamw_step(model, state, 0.1, tc, factor)
@@ -279,6 +279,21 @@ class TestTrainLoop:
             _, history = train_loop(model, batches, valid, cfg, vocab)
             histories.append(history_tsv(history))
         assert histories[0] == histories[1]
+
+    def test_no_gradient_or_graph_lives_through_validation(self):
+        """Each step frees its graph and the parameters' gradients before the next
+        step and before validation decodes."""
+        model, batches, valid, vocab = tiny_setup(4)
+        params = {id(p) for p in model.parameters()}
+
+        def score(m):
+            assert all(p.grad is None for p in m.parameters())
+            assert not [t for t in gc.get_objects() if isinstance(t, Tensor)
+                        and any(id(q) in params for q in t._parents)]
+            return 0.0
+
+        train_loop(model, batches, valid, TrainConfig(epochs=2, patience=None, seed=0), vocab,
+                   score_fn=score)
 
     def test_validation_sari_of_checkpoint_is_maximum(self):
         model, batches, valid, vocab = tiny_setup()
@@ -389,16 +404,23 @@ class TestCheckpointIO:
         path = tmp_path / "ck.bin"
         save_checkpoint(ckpt, path)
         script = textwrap.dedent("""
+            import math
             import os
             import sys
+            from sentsimp.model import ModelConfig, param_shapes
+            from sentsimp.tokenizer import SPECIALS, Vocabulary
             from sentsimp.train import load_checkpoint, save_checkpoint
             path = sys.argv[1]
             with open(path, "rb") as f:
                 raw = f.read()
             first = load_checkpoint(path)
             other = load_checkpoint(path)
-            name = next(iter(other.params))
-            other.params = {name: other.params[name][:1] * 2.0}
+            values = other.params["enc.tok_emb"].reshape(-1)
+            other.config = ModelConfig(d_model=2, n_heads=1, n_layers=1, d_ff=2, vocab_size=4,
+                                       max_len=3)
+            other.vocab = Vocabulary(dict(zip(SPECIALS, range(4))), SPECIALS)
+            other.params = {name: values[:math.prod(shape)].reshape(shape) * 2.0
+                            for name, shape in param_shapes(other.config).items()}
             save_checkpoint(other, path)
             assert os.path.getsize(path) < len(raw) // 2
             payload = b"".join(a.tobytes() for a in first.params.values())
@@ -409,6 +431,25 @@ class TestCheckpointIO:
         done = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, (done.returncode, done.stderr)
+
+    @pytest.mark.parametrize("edit", [
+        lambda c: c.params.pop("out.b"),
+        lambda c: c.params.__setitem__("bogus.w", np.zeros(2)),
+        lambda c: c.params.__setitem__("out.b", c.params["out.b"][:-1]),
+        lambda c: setattr(c, "params", dict(reversed(c.params.items()))),
+        lambda c: setattr(c, "vocab", Vocabulary({**c.vocab.token_to_id, "zebra": c.vocab.size},
+                                                 c.vocab.id_to_token + ("zebra",))),
+    ], ids=["missing", "extra", "wrong_shape", "reordered", "vocab_longer"])
+    def test_mismatched_save_raises_and_keeps_the_old_file(self, edit, tmp_path):
+        ckpt, _, _ = self.make_checkpoint()
+        path = tmp_path / "ck.bin"
+        save_checkpoint(ckpt, path)
+        raw = path.read_bytes()
+        edit(ckpt)
+        with pytest.raises(CheckpointFormatError, match="bogus.w|out.b|vocab_size"):
+            save_checkpoint(ckpt, path)
+        assert path.read_bytes() == raw
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
