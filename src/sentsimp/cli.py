@@ -99,12 +99,14 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 def cmd_train(args) -> int:
     train_cfg = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
     out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)  # fails fast, not after training
     train_examples = C.load_parallel(args.train_src, args.train_tgt)
     if not train_examples:
         raise C.CorpusFormatError("training corpus is empty after filtering")
     src_eval, ref_paths = C.find_eval_files(args.valid_stem)
     valid = C.load_eval(src_eval, ref_paths)
+    # After the inputs load, so a bad corpus leaves no --out behind; before training, so an
+    # unusable --out fails fast.
+    os.makedirs(out_dir, exist_ok=True)
 
     vocab = tok.build_vocab(
         [e.source for e in train_examples] + [e.target for e in train_examples],

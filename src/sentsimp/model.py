@@ -296,7 +296,3 @@ def forward(model: Model, batch: Batch, train_mode: bool = False, rng=None) -> T
     return decoder_logits(model, enc_out, batch.source_pad_mask,
                           batch.target_in_ids, batch.target_pad_mask, train_mode, rng)
 
-
-def clone_params(model: Model) -> dict[str, np.ndarray]:
-    return {name: p.data.copy() for name, p in model.params.items()}
-

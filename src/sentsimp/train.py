@@ -1,12 +1,19 @@
 """Teacher-forced training: AdamW, one-cycle LR, early stopping on SARI.
 
+Training keeps the parameters in one flat float64 arena, in the model's
+parameter order (the checkpoint header's), and both Adam moments in two
+more such buffers; every `Tensor.data` is a view of the arena. AdamW
+updates the arena a segment at a time (see `OptState`), the best-epoch
+snapshot is one copy of it, and that copy is the checkpoint's payload.
+
 The checkpoint file is the magic "SSCK", then a little-endian uint32
 version (2) and uint64 header length, then a UTF-8 JSON header
 {"config", "vocab", "history", "params": {name: shape}}, then each
-parameter's little-endian float64 bytes in header order. The header is
-padded with spaces so the payload starts on a 64-byte boundary; an
-unpadded header loads too. Version 1 files are rejected; retrain to get a
-version 2 checkpoint.
+parameter's little-endian float64 bytes in header order: the flat payload,
+written in one call and loaded as one `np.frombuffer` that the parameters
+are views of. The header is padded with spaces so the payload starts on a
+64-byte boundary; an unpadded header loads too. Version 1 files are
+rejected; retrain to get a version 2 checkpoint.
 """
 
 from __future__ import annotations
@@ -18,15 +25,15 @@ import os
 import struct
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields, asdict
-from itertools import zip_longest
+from functools import cached_property
+from itertools import groupby, zip_longest
 from typing import ClassVar
 
 import numpy as np
 
 from . import tensor as T
 from .corpus import Batch, EvalExample
-from .model import (Model, ModelConfig, clone_params, forward, model_from_arrays,
-                    param_shapes)
+from .model import Model, ModelConfig, forward, model_from_arrays, param_shapes
 from .tokenizer import Vocabulary, SPECIALS
 from .tensor import NonFiniteError
 
@@ -78,14 +85,51 @@ class TrainConfig:
             raise ValueError("patience must be >= 1")
 
 
+def _named_views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """Name -> a view of `flat`, the arrays of `shapes` laid end to end in its order."""
+    views, offset = {}, 0
+    for name, shape in shapes.items():
+        count = math.prod(shape)
+        views[name] = flat[offset:offset + count].reshape(shape)
+        offset += count
+    return views
+
+
+@dataclass(frozen=True)
+class _Segment:
+    """A run [start, stop) of the arena that one `_adam_rows` pass updates. Embedding
+    tables of one row width form a row segment, `live` is then a flag per row of them
+    and `bounds` their first rows (and the end), in segment rows. Any other run of
+    parameters is flat. `decay` says whether weight decay applies to a row segment, and
+    for a flat one, which of its entries it applies to."""
+    start: int
+    stop: int
+    names: tuple[str, ...]
+    decay: bool | np.ndarray
+    width: int = 0
+    bounds: tuple[int, ...] = ()
+    live: np.ndarray | None = None
+
+
 @dataclass
 class OptState:
-    """Adam moments and step count, plus, per embedding table, which rows a gradient
-    has reached at some step. A row outside `live` has had an all-zero gradient at
-    every step, so its moments are +0.0 and the Adam step leaves it unchanged."""
+    """AdamW's state over one model. The parameters and both Adam moments each live in
+    one flat float64 buffer in the model's parameter order (`arena`, `m_arena`,
+    `v_arena`); every `Tensor.data`, `m[name]` and `v[name]` is a view of its buffer.
+
+    `segments` cuts the buffers into the runs `adamw_step` updates in one pass each:
+    in header order, the four embedding tables (all `d_model` wide) then everything
+    else. `live` says, per embedding table, which rows a gradient has reached at some
+    step (views of one flag array per row segment). A row outside it has had an
+    all-zero gradient at every step, so its moments are +0.0 and the Adam step leaves
+    it unchanged."""
+    arena: np.ndarray
+    m_arena: np.ndarray
+    v_arena: np.ndarray
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     live: dict[str, np.ndarray]
+    segments: list[_Segment]
     t: int = 0
 
 
@@ -106,10 +150,17 @@ class TrainHistory:
 
 @dataclass
 class Checkpoint:
+    """A model's config, vocabulary and history, and every parameter's float64 values in
+    one flat `payload`, in `param_shapes(config)` order. `params` names views of the
+    payload, built on first use."""
     config: ModelConfig
     vocab: Vocabulary
-    params: dict[str, np.ndarray]
+    payload: np.ndarray
     history: TrainHistory
+
+    @cached_property
+    def params(self) -> dict[str, np.ndarray]:
+        return _named_views(self.payload, param_shapes(self.config))
 
 
 def onecycle_lr(step: int, total_steps: int, cfg: TrainConfig) -> float:
@@ -128,29 +179,80 @@ def onecycle_lr(step: int, total_steps: int, cfg: TrainConfig) -> float:
 
 
 def init_opt_state(model: Model) -> OptState:
-    # np.zeros leaves the pages of moment rows that never go live untouched.
+    """Move the model's parameters into a new arena, a tensor at a time, rebinding each
+    `Tensor.data` to its view (so an old array no one else holds is freed as the next is
+    copied); zero both moments in the same layout."""
     shapes = {name: p.data.shape for name, p in model.params.items()}
-    return OptState(
-        m={name: np.zeros(shape) for name, shape in shapes.items()},
-        v={name: np.zeros(shape) for name, shape in shapes.items()},
-        live={name: np.zeros(shapes[name][0], dtype=bool) for name in model.embeddings},
-    )
+    arena = np.empty(sum(math.prod(s) for s in shapes.values()))
+    for p, view in zip(model.params.values(), _named_views(arena, shapes).values()):
+        view[...] = p.data
+        p.data = view
+    # np.zeros leaves the pages of moment rows that never go live untouched.
+    m_arena, v_arena = np.zeros(arena.size), np.zeros(arena.size)
+
+    def role(item):  # (row width, decayed) of an embedding table; (0, None) otherwise
+        name, shape = item
+        if name in model.embeddings and len(shape) == 2:
+            return shape[1], name not in model.no_decay
+        return 0, None
+
+    segments, live, start = [], {}, 0
+    for (width, decayed), group in groupby(shapes.items(), key=role):
+        group = dict(group)
+        stop = start + sum(math.prod(s) for s in group.values())
+        if width:
+            bounds = np.cumsum([0] + [s[0] for s in group.values()]).tolist()
+            flags = np.zeros(bounds[-1], dtype=bool)
+            live |= {name: flags[lo:hi] for name, lo, hi in zip(group, bounds, bounds[1:])}
+            segments.append(_Segment(start, stop, tuple(group), decayed, width,
+                                     tuple(bounds), flags))
+        else:
+            where = np.empty(stop - start, dtype=bool)
+            for name, view in _named_views(where, group).items():
+                view[...] = name not in model.no_decay
+            segments.append(_Segment(start, stop, tuple(group), where))
+        start = stop
+    return OptState(arena, m_arena, v_arena, _named_views(m_arena, shapes),
+                    _named_views(v_arena, shapes), live, segments)
 
 
-def _row_blocks(a: np.ndarray):
-    rows = max(1, _ADAMW_BLOCK // max(1, math.prod(a.shape[1:])))
-    return (slice(lo, lo + rows) for lo in range(0, len(a), rows))
+def _blocks(pieces, scratch: np.ndarray):
+    """(offset, block) over the concatenation of the flattened `pieces`, `len(scratch)`
+    elements at a time: a view of a piece where the whole block lies in it, else the
+    block gathered into `scratch`, which the next block may overwrite."""
+    n, offset, fill = len(scratch), 0, 0
+    for piece in pieces:
+        flat, i = piece.reshape(-1), 0
+        while i < flat.size:
+            if fill == 0 and flat.size - i >= n:
+                yield offset, flat[i:i + n]
+                i += n
+                offset += n
+                continue
+            take = min(n - fill, flat.size - i)
+            scratch[fill:fill + take] = flat[i:i + take]
+            fill += take
+            i += take
+            if fill == n:
+                yield offset, scratch
+                offset += n
+                fill = 0
+    if fill:
+        yield offset, scratch[:fill]
 
 
-def _adam_rows(p, g, m, v, lr: float, t: int, cfg: TrainConfig, factor: float,
-               decay: float | None) -> None:
-    """The AdamW recurrence on gradient g * factor, in place over p, m and v, a block
-    of leading-axis rows at a time. g is only read. Every operation is elementwise,
-    so blocking leaves the bytes unchanged."""
+def _adam_rows(p, grads, m, v, lr: float, t: int, cfg: TrainConfig, factor: float,
+               decay: float | None = None, where: np.ndarray | None = None) -> None:
+    """The AdamW recurrence on gradient g * factor, in place over the flat arrays p, m
+    and v, a block at a time; g is the flattened `grads` laid end to end, and is only
+    read. The decay of the updated value, if given, applies where `where` holds (never
+    by a multiply by 0.0, which would turn a -0.0 parameter into +0.0). Every operation
+    is elementwise, so blocking leaves the bytes unchanged."""
     bc1 = 1.0 - cfg.beta1 ** t
     bc2 = 1.0 - cfg.beta2 ** t
-    for block in _row_blocks(g):
-        pb, gb, mb, vb = p[block], g[block], m[block], v[block]
+    for lo, gb in _blocks(grads, np.empty(min(_ADAMW_BLOCK, len(p)))):
+        block = slice(lo, lo + len(gb))
+        pb, mb, vb = p[block], m[block], v[block]
         if factor != 1.0:
             gb = gb * factor
         tmp = gb * (1.0 - cfg.beta1)
@@ -169,7 +271,11 @@ def _adam_rows(p, g, m, v, lr: float, t: int, cfg: TrainConfig, factor: float,
         pb -= update
         if decay is not None:
             np.multiply(pb, decay, out=tmp)
-            pb -= tmp
+            mask = where[block]
+            if mask.all():  # a masked subtract costs ~4x a plain one
+                pb -= tmp
+            else:
+                np.subtract(pb, tmp, out=pb, where=mask)
 
 
 def adamw_step(model: Model, state: OptState, lr: float, cfg: TrainConfig,
@@ -177,35 +283,44 @@ def adamw_step(model: Model, state: OptState, lr: float, cfg: TrainConfig,
     """One decoupled-weight-decay Adam update over every parameter, on the gradients
     scaled by `factor` (the clip from `clip_gradients`; no gradient array is written,
     since parameters can share one): the Adam step, then the decay of the updated
-    value. Weight decay skips layer-norm gains and biases.
+    value. Weight decay skips layer-norm gains and biases. It runs one `_adam_rows`
+    pass per segment of the arena (see OptState).
 
-    On an embedding table the Adam step runs on the live rows only (see OptState) and
-    every row then gets the decay: for a row that is not live the full arithmetic would
-    subtract +0.0, so the bytes are those of the dense update.
+    On a row segment the Adam step runs on the live rows only, gathered from each
+    table's gradient, and every row then gets the decay: for a row that is not live the
+    full arithmetic would subtract +0.0, so the bytes are those of the dense update.
     """
-    state.t += 1
-    decay = lr * cfg.weight_decay
+    grads = {}
     for name, p in model.params.items():
-        g = p.grad
+        g = grads[name] = p.grad
         if g is None:
             raise ValueError(f"parameter {name} has no gradient")
         if g.shape != p.data.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {p.data.shape} for {name}")
-        m, v = state.m[name], state.v[name]
-        p_decay = None if name in model.no_decay else decay
-        live = state.live.get(name)
-        if live is None:
-            _adam_rows(p.data, g, m, v, lr, state.t, cfg, factor, p_decay)
+    state.t += 1
+    decay = lr * cfg.weight_decay
+    for seg in state.segments:
+        p, m, v = (a[seg.start:seg.stop] for a in (state.arena, state.m_arena, state.v_arena))
+        if seg.live is None:
+            _adam_rows(p, [grads[name] for name in seg.names], m, v, lr, state.t, cfg, factor,
+                       decay, seg.decay)
             continue
-        live |= (g != 0).any(axis=1)
-        rows = np.flatnonzero(live)
-        pr, mr, vr = p.data[rows], m[rows], v[rows]
-        _adam_rows(pr, g[rows], mr, vr, lr, state.t, cfg, factor, None)
-        p.data[rows], m[rows], v[rows] = pr, mr, vr
-        if p_decay is not None:
-            for block in _row_blocks(p.data):
-                pb = p.data[block]
-                pb -= pb * p_decay
+        for name in seg.names:
+            state.live[name] |= (grads[name] != 0).any(axis=1)
+        rows = np.flatnonzero(seg.live)
+        cuts = np.searchsorted(rows, seg.bounds)
+        pieces = [grads[name][rows[a:b] - lo]
+                  for name, lo, a, b in zip(seg.names, seg.bounds, cuts, cuts[1:])]
+        p, m, v = (a.reshape(-1, seg.width) for a in (p, m, v))
+        pr, mr, vr = p[rows], m[rows], v[rows]
+        _adam_rows(pr.reshape(-1), pieces, mr.reshape(-1), vr.reshape(-1), lr, state.t, cfg,
+                   factor)
+        p[rows], m[rows], v[rows] = pr, mr, vr
+        if seg.decay:
+            flat = p.reshape(-1)
+            for lo in range(0, flat.size, _ADAMW_BLOCK):
+                pb = flat[lo:lo + _ADAMW_BLOCK]
+                pb -= pb * decay
 
 
 def clip_gradients(model: Model) -> float:
@@ -247,12 +362,14 @@ def train_loop(model: Model, train_batches: list[Batch], valid: list[EvalExample
             raise ValueError("no validation examples")
         score_fn = default_valid_scorer(vocab, valid)
 
+    # The arena is in the model's parameter order, which the checkpoint needs to be its config's.
+    _declared_shapes(model.config, vocab.size, {n: p.shape for n, p in model.params.items()})
     rng = np.random.default_rng(cfg.seed)
     state = init_opt_state(model)
     total_steps = cfg.epochs * len(train_batches)
     history = TrainHistory()
     best_sari = -math.inf
-    best_params = None
+    best = None
     step = 0
     lr = cfg.base_lr
 
@@ -279,15 +396,15 @@ def train_loop(model: Model, train_batches: list[Batch], valid: list[EvalExample
 
         valid_sari = score_fn(model)
         history.epochs.append(EpochRecord(epoch, sum(losses) / len(losses), valid_sari, lr))
-        if best_params is None or valid_sari > best_sari:
+        if best is None or valid_sari > best_sari:
             best_sari = valid_sari
             history.best_epoch = epoch
-            best_params = clone_params(model)
+            best = state.arena.copy()
         elif cfg.patience is not None and epoch - history.best_epoch >= cfg.patience:
             history.stopped_early = True
             break
 
-    ckpt = Checkpoint(model.config, vocab, best_params, history)
+    ckpt = Checkpoint(model.config, vocab, best, history)
     return ckpt, history
 
 
@@ -320,14 +437,15 @@ def staged_write(path, mode: str = "w"):
             os.remove(tmp)
 
 
-def _declared_shapes(config: ModelConfig, params: dict, n_tokens: int) -> dict:
-    """`param_shapes(config)`, if `params` (name -> shape tuple) equals it in order and the
-    vocabulary has `config.vocab_size` tokens; else CheckpointFormatError. Load and save use it."""
+def _declared_shapes(config: ModelConfig, n_tokens: int, params: dict | None = None) -> dict:
+    """`param_shapes(config)`, if the vocabulary has `config.vocab_size` tokens and `params`
+    (name -> shape tuple), when given, equals it in order; else CheckpointFormatError. Load,
+    save and `train_loop` use it."""
     if n_tokens != config.vocab_size:
         raise CheckpointFormatError(f"checkpoint vocabulary has {n_tokens} tokens, "
                                     f"its config's vocab_size is {config.vocab_size}")
     shapes = param_shapes(config)
-    if list(params.items()) != list(shapes.items()):
+    if params is not None and list(params.items()) != list(shapes.items()):
         got, need = next((g, n) for g, n in zip_longest(params.items(), shapes.items())
                          if g != n)
         raise CheckpointFormatError(f"checkpoint params do not match its config: checkpoint "
@@ -336,27 +454,31 @@ def _declared_shapes(config: ModelConfig, params: dict, n_tokens: int) -> dict:
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    """Write `ckpt` through `staged_write`. Its params and vocabulary must be exactly those
-    its config declares, as `load_checkpoint` demands; a mismatch raises
-    CheckpointFormatError before the file is opened."""
-    shapes = _declared_shapes(ckpt.config, {n: a.shape for n, a in ckpt.params.items()},
-                              ckpt.vocab.size)
+    """Write `ckpt` through `staged_write`, its payload in one call. The payload must hold
+    exactly the values of the params its config declares, and the vocabulary its size, as
+    `load_checkpoint` demands; a mismatch raises CheckpointFormatError before the file is
+    opened."""
+    shapes = _declared_shapes(ckpt.config, ckpt.vocab.size)
+    count = sum(math.prod(s) for s in shapes.values())
+    if ckpt.payload.shape != (count,):
+        raise CheckpointFormatError(f"checkpoint payload has shape {ckpt.payload.shape}, "
+                                    f"its config's params need ({count},)")
     header = json.dumps({
         "config": asdict(ckpt.config),
         "vocab": list(ckpt.vocab.id_to_token),
-        "history": asdict(ckpt.history),
+        # As asdict would give it, at a fiftieth of the cost over a 20-epoch history.
+        "history": {**vars(ckpt.history), "epochs": [vars(r) for r in ckpt.history.epochs]},
         "params": shapes,
     }).encode("utf-8")
     header += b" " * (-(_PREFIX.size + len(header)) % _PAYLOAD_ALIGN)
     with staged_write(path, "wb") as f:
         f.write(_PREFIX.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(header)))
         f.write(header)
-        for data in ckpt.params.values():
-            f.write(np.ascontiguousarray(data, dtype="<f8"))
+        f.write(np.ascontiguousarray(ckpt.payload, dtype="<f8"))
 
 
 def _parse_header(raw: bytes) -> tuple[Checkpoint, dict[str, tuple[int, ...]]]:
-    """The checkpoint the header describes, without its arrays, and their shapes: the
+    """The checkpoint the header describes, its payload empty, and the params' shapes: the
     header must declare exactly the parameters and vocabulary size of its config."""
     try:
         header = json.loads(raw)
@@ -387,21 +509,22 @@ def _parse_header(raw: bytes) -> tuple[Checkpoint, dict[str, tuple[int, ...]]]:
     # never passes as 1 or 64.
     params = {name: tuple(s) if type(s) is list and all(type(d) is int for d in s) else s
               for name, s in header["params"].items()}
-    shapes = _declared_shapes(config, params, len(tokens))
+    shapes = _declared_shapes(config, len(tokens), params)
     h = header["history"]
     try:
         history = TrainHistory(**{**h, "epochs": [EpochRecord(**r) for r in h["epochs"]]})
     except (TypeError, KeyError) as exc:
         raise CheckpointFormatError(f"bad checkpoint history: {exc!r}") from exc
-    return Checkpoint(config, Vocabulary(token_to_id, tuple(tokens)), {}, history), shapes
+    return (Checkpoint(config, Vocabulary(token_to_id, tuple(tokens)), np.empty(0), history),
+            shapes)
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """The checkpoint at `path`, its tensors views of one private mapping of the file.
+    """The checkpoint at `path`, its payload one view of a private mapping of the file.
 
     Every check runs before the file is mapped. No payload byte is copied or read until
-    a tensor is used, and writes to a tensor stay in this process. A tensor whose bytes
-    are not 8-byte aligned (a header saved without padding) is copied."""
+    a tensor is used, and writes to a tensor stay in this process. A payload whose bytes
+    are not 8-byte aligned (a header saved without padding) is copied once."""
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         prefix = f.read(_PREFIX.size)
@@ -415,16 +538,13 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointFormatError(f"truncated checkpoint file: {path}")
         ckpt, shapes = _parse_header(f.read(header_len))
         offset = _PREFIX.size + header_len
-        expected = offset + 8 * sum(math.prod(s) for s in shapes.values())
+        count = sum(math.prod(s) for s in shapes.values())
+        expected = offset + 8 * count
         if size != expected:
             problem = "truncated" if size < expected else "trailing bytes in"
             raise CheckpointFormatError(f"{problem} checkpoint file: {path}")
         mapped = mmap.mmap(f.fileno(), size, access=mmap.ACCESS_COPY)
-    for name, shape in shapes.items():
-        count = math.prod(shape)
-        view = np.frombuffer(mapped, "<f8", count, offset).reshape(shape)
-        ckpt.params[name] = np.require(view, requirements="A")
-        offset += 8 * count
+    ckpt.payload = np.require(np.frombuffer(mapped, "<f8", count, offset), requirements="A")
     return ckpt
 
 

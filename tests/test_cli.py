@@ -78,6 +78,7 @@ class TestTrain:
         args[args.index("--train-src") + 1] = str(corpus_dir / "absent.src")
         assert main(args) == 2
         assert "absent.src" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_config_file_flags_override(self, corpus_dir, tmp_path):
         cfg = tmp_path / "run.cfg"

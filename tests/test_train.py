@@ -66,6 +66,16 @@ class TestOneCycle:
             onecycle_lr(0, 1, self.cfg)
 
 
+def assert_laid_end_to_end(flat: np.ndarray, arrays) -> None:
+    """Each array is a view of the 1-D `flat`, and in order they cover it with no gap."""
+    start, offset = flat.__array_interface__["data"][0], 0
+    for a in arrays:
+        assert a.base is flat and a.flags["C_CONTIGUOUS"]
+        assert a.__array_interface__["data"][0] == start + 8 * offset
+        offset += a.size
+    assert offset == flat.size
+
+
 def scalar_model(value: float) -> Model:
     cfg = ModelConfig(d_model=2, n_heads=1, n_layers=1, d_ff=2, vocab_size=8)
     p = Tensor(np.array([value]), requires_grad=True)
@@ -119,22 +129,42 @@ class TestAdamW:
         adamw_step(model, init_opt_state(model), 0.1, TrainConfig())
         assert p.data[0] == 1.0
 
+    def test_parameters_and_moments_are_views_of_their_arenas(self):
+        model = init_model(toy_model_config(29), 0)
+        before = {n: p.data.tobytes() for n, p in model.params.items()}
+        state = init_opt_state(model)
+        names = list(param_shapes(model.config))
+        assert list(model.params) == list(state.m) == list(state.v) == names
+        assert_laid_end_to_end(state.arena, [p.data for p in model.params.values()])
+        assert_laid_end_to_end(state.m_arena, state.m.values())
+        assert_laid_end_to_end(state.v_arena, state.v.values())
+        assert {n: p.data.tobytes() for n, p in model.params.items()} == before
+        assert not state.m_arena.any() and not state.v_arena.any()
+        # The four embedding tables lead the header order: one row segment, then one flat.
+        assert [seg.names for seg in state.segments] == [tuple(names[:4]), tuple(names[4:])]
+        assert [seg.width for seg in state.segments] == [64, 0]
+
     def test_blocked_update_matches_whole_array_recurrence(self):
-        """Updating a parameter a block of rows at a time, and an embedding table's
-        live rows only, gives exactly the bytes of the whole-array formula on the
-        clipped gradient, over parameters larger than one block."""
+        """Updating the arena a segment and a block at a time, the embedding tables' live
+        rows only, gives exactly the bytes of the per-parameter whole-array formula on
+        the clipped gradient, over parameters larger than one block. The layer-norm
+        bias sits inside a block between two decayed parameters, and its -0.0 entries,
+        whose gradient is always zero, stay -0.0."""
         cfg = ModelConfig(d_model=2, n_heads=1, n_layers=1, d_ff=2, vocab_size=8)
         rng = np.random.default_rng(0)
-        shapes = {"big": (3001, 37), "vec": (5,), "enc.0.ln1.gain": (7,),
-                  "enc.tok_emb": (3001, 37)}
+        shapes = {"big": (3001, 37), "enc.0.ln2.bias": (9,), "vec": (5,),
+                  "enc.0.ln1.gain": (7,), "enc.tok_emb": (3001, 37), "dec.tok_emb": (700, 37)}
         model = Model(cfg, {n: Tensor(rng.normal(size=s), requires_grad=True)
                             for n, s in shapes.items()})
         model.params["enc.tok_emb"].data[::7, ::3] = -0.0
+        model.params["dec.tok_emb"].data[::5, ::2] = -0.0
+        model.params["enc.0.ln2.bias"].data[::2] = -0.0
         # Rows of the table that a step's gradient reaches: 0-99 from step 1, 200-399
         # from step 2 (live share 10%), 1000-2599 at step 3 only (share 60%). Row 100
         # is reached at step 1 only; every other entry is +0.0 or -0.0.
         reached = {1: np.r_[0:101], 2: np.r_[0:100, 200:400],
                    3: np.r_[0:100, 200:400, 1000:2600]}
+        reached_dec = {1: np.r_[0:10], 2: np.r_[0:10, 300:350], 3: np.r_[600:700]}
         state, tc = init_opt_state(model), TrainConfig()
         p = {n: t.data.copy() for n, t in model.params.items()}
         m = {n: np.zeros(s) for n, s in shapes.items()}
@@ -142,10 +172,13 @@ class TestAdamW:
         for t, lr, factor in ((1, 1e-3, 0.37), (2, 3e-3, 1.0), (3, 2e-3, 0.81)):
             for name, param in model.params.items():
                 g = param.grad = rng.normal(size=shapes[name])
-                if name == "enc.tok_emb":
+                if name.endswith("tok_emb"):
+                    rows = (reached if name == "enc.tok_emb" else reached_dec)[t]
                     g[:] = np.where(rng.random(g.shape) < 0.5, -0.0, 0.0)
-                    g[reached[t]] = rng.normal(size=(len(reached[t]), shapes[name][1]))
-                    g[reached[t][::5], :4] = -0.0
+                    g[rows] = rng.normal(size=(len(rows), shapes[name][1]))
+                    g[rows[::5], :4] = -0.0
+                if name == "enc.0.ln2.bias":
+                    g[::2] = 0.0
                 g = g * factor
                 m[name] = tc.beta1 * m[name] + (1.0 - tc.beta1) * g
                 v[name] = tc.beta2 * v[name] + (1.0 - tc.beta2) * g * g
@@ -161,7 +194,11 @@ class TestAdamW:
             assert state.v[name].tobytes() == v[name].tobytes()
         live = np.flatnonzero(state.live["enc.tok_emb"])
         assert np.array_equal(live, np.r_[0:101, 200:400, 1000:2600])
-        assert state.live.keys() == {"enc.tok_emb"}
+        live = np.flatnonzero(state.live["dec.tok_emb"])
+        assert np.array_equal(live, np.r_[0:10, 300:350, 600:700])
+        assert state.live.keys() == {"enc.tok_emb", "dec.tok_emb"}
+        kept = model.params["enc.0.ln2.bias"].data[::2]
+        assert not kept.any() and np.signbit(kept).all()
 
 
 class TestClipGradients:
@@ -270,6 +307,17 @@ class TestTrainLoop:
         assert history.best_epoch == 2
         for name, data in ckpt.params.items():
             assert np.array_equal(data, snapshots[1][name])
+        assert_laid_end_to_end(ckpt.payload, ckpt.params.values())
+        assert not any(np.shares_memory(ckpt.payload, p.data) for p in model.params.values())
+
+    def test_model_out_of_header_order_is_rejected_before_training(self):
+        """The checkpoint's payload is a copy of the arena, which is in the model's
+        parameter order, so that order must be its config's."""
+        model, batches, valid, vocab = tiny_setup(4)
+        model.params = dict(reversed(model.params.items()))
+        with pytest.raises(CheckpointFormatError, match="out.b"):
+            train_loop(model, batches, valid, TrainConfig(epochs=1), vocab,
+                       score_fn=lambda m: 0.0)
 
     def test_reproducible_history(self):
         cfg = TrainConfig(epochs=3, patience=None, seed=0)
@@ -310,8 +358,8 @@ class TestCheckpointIO:
         model = init_model(toy_model_config(vocab.size), 3)
         history = TrainHistory(
             epochs=[EpochRecord(1, 2.5, 31.2, 1e-4)], best_epoch=1)
-        params = {k: p.data.copy() for k, p in model.params.items()}
-        return Checkpoint(model.config, vocab, params, history), model, vocab
+        payload = np.concatenate([p.data.ravel() for p in model.params.values()])
+        return Checkpoint(model.config, vocab, payload, history), model, vocab
 
     def test_round_trip_bitwise(self, tmp_path):
         ckpt, model, vocab = self.make_checkpoint()
@@ -368,6 +416,8 @@ class TestCheckpointIO:
         save_checkpoint(ckpt, path)
         raw = path.read_bytes()
         loaded = load_checkpoint(path)
+        assert list(loaded.params) == list(param_shapes(loaded.config))
+        assert_laid_end_to_end(loaded.payload, loaded.params.values())
         for a in loaded.params.values():
             assert a.flags["ALIGNED"] and a.flags["WRITEABLE"] and a.flags["C_CONTIGUOUS"]
             a += 1.0
@@ -392,6 +442,7 @@ class TestCheckpointIO:
                          + raw[16 + n:])
         loaded = load_checkpoint(path)
         assert loaded.vocab == ckpt.vocab and loaded.history == ckpt.history
+        assert_laid_end_to_end(loaded.payload, loaded.params.values())
         for name, a in ckpt.params.items():
             assert loaded.params[name].flags["ALIGNED"]
             assert loaded.params[name].tobytes() == a.tobytes()
@@ -409,18 +460,17 @@ class TestCheckpointIO:
             import sys
             from sentsimp.model import ModelConfig, param_shapes
             from sentsimp.tokenizer import SPECIALS, Vocabulary
-            from sentsimp.train import load_checkpoint, save_checkpoint
+            from sentsimp.train import Checkpoint, load_checkpoint, save_checkpoint
             path = sys.argv[1]
             with open(path, "rb") as f:
                 raw = f.read()
             first = load_checkpoint(path)
             other = load_checkpoint(path)
-            values = other.params["enc.tok_emb"].reshape(-1)
-            other.config = ModelConfig(d_model=2, n_heads=1, n_layers=1, d_ff=2, vocab_size=4,
-                                       max_len=3)
-            other.vocab = Vocabulary(dict(zip(SPECIALS, range(4))), SPECIALS)
-            other.params = {name: values[:math.prod(shape)].reshape(shape) * 2.0
-                            for name, shape in param_shapes(other.config).items()}
+            config = ModelConfig(d_model=2, n_heads=1, n_layers=1, d_ff=2, vocab_size=4,
+                                 max_len=3)
+            count = sum(math.prod(s) for s in param_shapes(config).values())
+            other = Checkpoint(config, Vocabulary(dict(zip(SPECIALS, range(4))), SPECIALS),
+                               other.payload[:count] * 2.0, other.history)
             save_checkpoint(other, path)
             assert os.path.getsize(path) < len(raw) // 2
             payload = b"".join(a.tobytes() for a in first.params.values())
@@ -433,20 +483,21 @@ class TestCheckpointIO:
         assert done.returncode == 0, (done.returncode, done.stderr)
 
     @pytest.mark.parametrize("edit", [
-        lambda c: c.params.pop("out.b"),
-        lambda c: c.params.__setitem__("bogus.w", np.zeros(2)),
-        lambda c: c.params.__setitem__("out.b", c.params["out.b"][:-1]),
-        lambda c: setattr(c, "params", dict(reversed(c.params.items()))),
+        lambda c: setattr(c, "payload", c.payload[:-c.config.vocab_size]),
+        lambda c: setattr(c, "payload", np.append(c.payload, 0.0)),
+        lambda c: setattr(c, "payload", c.payload[:-1]),
         lambda c: setattr(c, "vocab", Vocabulary({**c.vocab.token_to_id, "zebra": c.vocab.size},
                                                  c.vocab.id_to_token + ("zebra",))),
-    ], ids=["missing", "extra", "wrong_shape", "reordered", "vocab_longer"])
+    ], ids=["missing", "extra", "wrong_shape", "vocab_longer"])
     def test_mismatched_save_raises_and_keeps_the_old_file(self, edit, tmp_path):
+        """A payload without out.b's values, one value long or one short, or a vocabulary
+        its config does not declare."""
         ckpt, _, _ = self.make_checkpoint()
         path = tmp_path / "ck.bin"
         save_checkpoint(ckpt, path)
         raw = path.read_bytes()
         edit(ckpt)
-        with pytest.raises(CheckpointFormatError, match="bogus.w|out.b|vocab_size"):
+        with pytest.raises(CheckpointFormatError, match="payload has shape|vocab_size"):
             save_checkpoint(ckpt, path)
         assert path.read_bytes() == raw
         assert list(tmp_path.iterdir()) == [path]
