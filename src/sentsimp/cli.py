@@ -104,10 +104,6 @@ def cmd_train(args) -> int:
         raise C.CorpusFormatError("training corpus is empty after filtering")
     src_eval, ref_paths = C.find_eval_files(args.valid_stem)
     valid = C.load_eval(src_eval, ref_paths)
-    # After the inputs load, so a bad corpus leaves no --out behind; before training, so an
-    # unusable --out fails fast.
-    os.makedirs(out_dir, exist_ok=True)
-
     vocab = tok.build_vocab(
         [e.source for e in train_examples] + [e.target for e in train_examples],
         max_size=args.max_vocab, min_freq=args.min_freq,
@@ -120,6 +116,13 @@ def cmd_train(args) -> int:
     ]
     batches = C.make_batches(pairs, train_cfg.batch_size, vocab.pad_id,
                              model_cfg.max_len, shuffle_seed=train_cfg.seed)
+    steps = train_cfg.epochs * len(batches)
+    if steps < 2:
+        raise ValueError(f"{train_cfg.epochs} epoch(s) of {len(batches)} batch(es) make "
+                         f"{steps} step; the one-cycle schedule needs at least 2")
+    # After the inputs load and the schedule is checked, so bad input leaves no --out
+    # behind; before training, so an unusable --out fails fast.
+    os.makedirs(out_dir, exist_ok=True)
     model = init_model(model_cfg, train_cfg.seed)
     ckpt, history = train_loop(model, batches, valid, train_cfg, vocab)
 
@@ -209,8 +212,16 @@ def cmd_report(args) -> int:
             log.warning("skipping %s: no report.json", run_dir)
             continue
         with open(path, encoding="utf-8") as f:
-            data = json.load(f)
-        rows.append((data["label"], data["sari"], data["add"], data["delete"], data["keep"]))
+            try:
+                data = json.load(f)
+            except ValueError as exc:  # not JSON, or not UTF-8
+                raise ValueError(f"{path} is not JSON: {exc}") from exc
+        scores = ("sari", "add", "delete", "keep")
+        if not (isinstance(data, dict) and isinstance(data.get("label"), str)
+                and all(type(data.get(k)) in (int, float) for k in scores)):
+            raise ValueError(f"{path} is not a JSON object with a string label and "
+                             f"numbers {', '.join(scores)}")
+        rows.append((data["label"], *(data[k] for k in scores)))
     rows.sort(key=lambda r: -r[1])
 
     lines = [f"{'Model':<28}   SARI    ADD DELETE   KEEP"]

@@ -3,7 +3,8 @@
 `simplify` decodes one sentence with the configured strategy;
 `greedy_decode_batch` decodes many sentences greedily in one padded batch.
 Both encode once, then feed each step's new tokens alone through a
-`DecoderCache`, over untracked parameters so no autodiff tape is recorded.
+`DecoderCache`, over an untracked wrap of the model's payload so no autodiff
+tape is recorded.
 The search cores `greedy_ids` and `beam_ids` map a step's live prefixes to
 next-token logits [rows, V] with one call, so they can be exercised against
 hand-built distributions as well as real models. Ties resolve to the lowest id.
@@ -18,7 +19,6 @@ import numpy as np
 
 from .corpus import pad_block
 from .model import DecoderCache, Model, decoder_logits, encode_source
-from .tensor import Tensor
 from .tokenizer import Vocabulary, decode as decode_ids, encode
 
 STRATEGIES = ("greedy", "beam")
@@ -45,7 +45,7 @@ def _cached_step(model: Model, vocab: Vocabulary, sources: list[str], cfg: Decod
     cap, which never exceeds the model's positions. After the first call, each prefix
     extends by one token the prefix of row rows[i] of the previous call."""
     cap = min(cfg.max_len, model.config.max_len)
-    model = Model(model.config, {n: Tensor(p.data) for n, p in model.params.items()})
+    model = Model(model.config, model.payload, requires_grad=False)
     src_ids, src_mask = pad_block([encode(vocab, s, cap).ids for s in sources], vocab.pad_id)
     enc_out = encode_source(model, src_ids, src_mask)
     cache = DecoderCache()

@@ -7,6 +7,11 @@ so `bert+gpt2` and `gpt2+bert` are aliases of `bert` and `gpt2`. At paper
 scale the vocabulary size follows the encoder side. Residual +
 post-layer-norm around every sublayer.
 
+A model's parameters live in one flat float64 payload in `param_shapes`
+order, the checkpoint header's; each parameter tensor is a view of it.
+`init_model` fills a new payload and a checkpoint's payload is wrapped as
+it is, so training, the optimiser and the checkpoint all work on one array.
+
 Training feeds `decoder_logits` the whole target prefix; decoding runs
 the same layer loop incrementally, feeding only new tokens with a cache.
 """
@@ -89,24 +94,38 @@ def variant_config(name: str, scale: str, vocab_size: int | None = None) -> Mode
 
 
 class Model:
-    """Named parameter tensors plus the config that shaped them. A parameter's name gives
-    its role: layer norms (`.ln`) are exempt from weight decay, and the embedding tables
-    (`_emb`) get a gradient only in the rows of the ids or positions a batch holds."""
+    """A config, one contiguous float64 `payload` holding every parameter in
+    `param_shapes(config)` order, and `params`: name -> a Tensor over that parameter's
+    view of the payload. Writing a tensor's data writes the payload, so training updates
+    the payload in place and a checkpoint saves it as it stands. `requires_grad` is False
+    for decoding's untracked wrap of a trained payload."""
 
-    def __init__(self, config: ModelConfig, params: dict[str, Tensor]):
+    def __init__(self, config: ModelConfig, payload: np.ndarray, requires_grad: bool = True):
+        shapes = param_shapes(config)
+        count = sum(math.prod(s) for s in shapes.values())
+        # Tensor would copy any other array silently, and train a copy the payload lacks.
+        if not (isinstance(payload, np.ndarray) and payload.dtype == np.float64
+                and payload.shape == (count,) and payload.flags["C_CONTIGUOUS"]):
+            raise ValueError(f"model payload must be a C-contiguous float64 array of shape "
+                             f"({count},), its config's parameter count")
         self.config = config
-        self.params = params
-        self.no_decay = {name for name in params if ".ln" in name}
-        self.embeddings = frozenset(name for name in params if name.endswith("_emb"))
+        self.payload = payload
+        self.params = {name: Tensor(view, requires_grad)
+                       for name, view in param_views(payload, shapes).items()}
 
     def parameters(self) -> list[Tensor]:
         return list(self.params.values())
+
+    def __deepcopy__(self, memo) -> Model:
+        """The same model over a copy of the payload (copying each tensor instead would
+        leave the copy's tensors outside its payload)."""
+        return Model(self.config, self.payload.copy(), self.params["out.b"].requires_grad)
 
 
 class DecoderCache:
     """Keys and values per decoder attention sublayer for the rows being decoded: cross
     ones projected once, self ones grown each call by copying, which cuts the autodiff
-    tape, so use it only over untracked parameters (`Tensor(p.data)`)."""
+    tape, so use it only over an untracked model (`requires_grad=False`)."""
 
     def __init__(self):
         self.length = 0
@@ -173,21 +192,29 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def model_from_arrays(config: ModelConfig, arrays: dict[str, np.ndarray]) -> Model:
-    """Trainable tensors over the given arrays."""
-    return Model(config, {name: Tensor(data, requires_grad=True) for name, data in arrays.items()})
+def param_views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """Name -> a view of `flat`, the arrays of `shapes` laid end to end in its order."""
+    views, offset = {}, 0
+    for name, shape in shapes.items():
+        count = math.prod(shape)
+        views[name] = flat[offset:offset + count].reshape(shape)
+        offset += count
+    return views
 
 
 def init_model(config: ModelConfig, seed: int) -> Model:
-    """Normal(0, 0.02^2) weights, layer-norm gains 1 / biases 0, all from one PRNG."""
+    """Normal(0, 0.02^2) weights, layer-norm gains 1 / biases 0, all from one PRNG. Each
+    weight is drawn into its view of the payload and then scaled, which gives exactly the
+    values of `rng.normal(0.0, INIT_STD, size=shape)` with no second copy of them."""
     rng = np.random.default_rng(seed)
-    arrays: dict[str, np.ndarray] = {}
-    for name, shape in param_shapes(config).items():
+    model = Model(config, np.empty(sum(math.prod(s) for s in param_shapes(config).values())))
+    for name, p in model.params.items():
         if ".ln" in name:
-            arrays[name] = np.ones(shape) if name.endswith(".gain") else np.zeros(shape)
+            p.data[...] = 1.0 if name.endswith(".gain") else 0.0
         else:
-            arrays[name] = rng.normal(0.0, INIT_STD, size=shape)
-    return model_from_arrays(config, arrays)
+            rng.standard_normal(out=p.data)
+            p.data *= INIT_STD
+    return model
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray) -> Tensor:

@@ -1,10 +1,9 @@
 """Teacher-forced training: AdamW, one-cycle LR, early stopping on SARI.
 
-Training keeps the parameters in one flat float64 arena, in the model's
-parameter order (the checkpoint header's), and both Adam moments in two
-more such buffers; every `Tensor.data` is a view of the arena. AdamW
-updates the arena a segment at a time (see `OptState`), the best-epoch
-snapshot is one copy of it, and that copy is the checkpoint's payload.
+Training updates the model's payload in place: the optimiser adopts it as
+its arena, with both Adam moments in two more buffers of its layout, and
+takes that layout from the config (see `OptState`). The best-epoch
+snapshot is one copy of the payload, and that copy is the checkpoint's.
 
 The checkpoint file is the magic "SSCK", then a little-endian uint32
 version (2) and uint64 header length, then a UTF-8 JSON header
@@ -26,14 +25,14 @@ import struct
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields, asdict
 from functools import cached_property
-from itertools import groupby, zip_longest
+from itertools import zip_longest
 from typing import ClassVar
 
 import numpy as np
 
 from . import tensor as T
 from .corpus import Batch, EvalExample
-from .model import Model, ModelConfig, forward, model_from_arrays, param_shapes
+from .model import Model, ModelConfig, forward, param_shapes, param_views
 from .tokenizer import Vocabulary, SPECIALS
 from .tensor import NonFiniteError
 
@@ -42,6 +41,7 @@ CHECKPOINT_VERSION = 2
 _PREFIX = struct.Struct("<4sIQ")  # magic, version, header length
 _PAYLOAD_ALIGN = 64  # bytes; the header's trailing spaces pad the payload to this
 _ADAMW_BLOCK = 1 << 15  # elements updated together, so a block's arrays stay in cache
+_TABLES = 4  # `param_shapes` leads with the four embedding tables, all d_model wide
 _HEADER = {"config": dict, "vocab": list, "history": dict, "params": dict}  # key -> JSON type
 
 
@@ -85,51 +85,24 @@ class TrainConfig:
             raise ValueError("patience must be >= 1")
 
 
-def _named_views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
-    """Name -> a view of `flat`, the arrays of `shapes` laid end to end in its order."""
-    views, offset = {}, 0
-    for name, shape in shapes.items():
-        count = math.prod(shape)
-        views[name] = flat[offset:offset + count].reshape(shape)
-        offset += count
-    return views
-
-
-@dataclass(frozen=True)
-class _Segment:
-    """A run [start, stop) of the arena that one `_adam_rows` pass updates. Embedding
-    tables of one row width form a row segment, `live` is then a flag per row of them
-    and `bounds` their first rows (and the end), in segment rows. Any other run of
-    parameters is flat. `decay` says whether weight decay applies to a row segment, and
-    for a flat one, which of its entries it applies to."""
-    start: int
-    stop: int
-    names: tuple[str, ...]
-    decay: bool | np.ndarray
-    width: int = 0
-    bounds: tuple[int, ...] = ()
-    live: np.ndarray | None = None
-
-
 @dataclass
 class OptState:
-    """AdamW's state over one model. The parameters and both Adam moments each live in
-    one flat float64 buffer in the model's parameter order (`arena`, `m_arena`,
-    `v_arena`); every `Tensor.data`, `m[name]` and `v[name]` is a view of its buffer.
+    """AdamW's state over one model: its payload as the `arena`, both Adam moments in
+    buffers of the same layout (`m_arena`, `v_arena`), and the step count `t`.
 
-    `segments` cuts the buffers into the runs `adamw_step` updates in one pass each:
-    in header order, the four embedding tables (all `d_model` wide) then everything
-    else. `live` says, per embedding table, which rows a gradient has reached at some
-    step (views of one flag array per row segment). A row outside it has had an
-    all-zero gradient at every step, so its moments are +0.0 and the Adam step leaves
-    it unchanged."""
+    The layout comes from the config. `param_shapes` leads with the four embedding
+    tables, all `d_model` wide; `bounds` are their first rows (and the end) in the row
+    segment they form, and `live` flags which of those rows a gradient has reached at
+    some step. A row outside it has had an all-zero gradient at every step, so its
+    moments are +0.0 and the Adam step leaves it unchanged. Everything after the tables
+    is one flat segment, and `decay` flags its entries that weight decay applies to: all
+    but the layer norms' (`.ln`)."""
     arena: np.ndarray
     m_arena: np.ndarray
     v_arena: np.ndarray
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
-    live: dict[str, np.ndarray]
-    segments: list[_Segment]
+    bounds: tuple[int, ...]
+    live: np.ndarray
+    decay: np.ndarray
     t: int = 0
 
 
@@ -160,7 +133,7 @@ class Checkpoint:
 
     @cached_property
     def params(self) -> dict[str, np.ndarray]:
-        return _named_views(self.payload, param_shapes(self.config))
+        return param_views(self.payload, param_shapes(self.config))
 
 
 def onecycle_lr(step: int, total_steps: int, cfg: TrainConfig) -> float:
@@ -179,41 +152,16 @@ def onecycle_lr(step: int, total_steps: int, cfg: TrainConfig) -> float:
 
 
 def init_opt_state(model: Model) -> OptState:
-    """Move the model's parameters into a new arena, a tensor at a time, rebinding each
-    `Tensor.data` to its view (so an old array no one else holds is freed as the next is
-    copied); zero both moments in the same layout."""
-    shapes = {name: p.data.shape for name, p in model.params.items()}
-    arena = np.empty(sum(math.prod(s) for s in shapes.values()))
-    for p, view in zip(model.params.values(), _named_views(arena, shapes).values()):
-        view[...] = p.data
-        p.data = view
+    """Adopt the model's payload as the arena, copying no parameter, and zero both
+    moments in its layout."""
+    shapes = list(param_shapes(model.config).items())
+    tables, rest = shapes[:_TABLES], shapes[_TABLES:]
+    bounds = tuple(np.cumsum([0] + [s[0] for _, s in tables]).tolist())
+    decay = np.repeat([".ln" not in name for name, _ in rest], [math.prod(s) for _, s in rest])
+    arena = model.payload
     # np.zeros leaves the pages of moment rows that never go live untouched.
-    m_arena, v_arena = np.zeros(arena.size), np.zeros(arena.size)
-
-    def role(item):  # (row width, decayed) of an embedding table; (0, None) otherwise
-        name, shape = item
-        if name in model.embeddings and len(shape) == 2:
-            return shape[1], name not in model.no_decay
-        return 0, None
-
-    segments, live, start = [], {}, 0
-    for (width, decayed), group in groupby(shapes.items(), key=role):
-        group = dict(group)
-        stop = start + sum(math.prod(s) for s in group.values())
-        if width:
-            bounds = np.cumsum([0] + [s[0] for s in group.values()]).tolist()
-            flags = np.zeros(bounds[-1], dtype=bool)
-            live |= {name: flags[lo:hi] for name, lo, hi in zip(group, bounds, bounds[1:])}
-            segments.append(_Segment(start, stop, tuple(group), decayed, width,
-                                     tuple(bounds), flags))
-        else:
-            where = np.empty(stop - start, dtype=bool)
-            for name, view in _named_views(where, group).items():
-                view[...] = name not in model.no_decay
-            segments.append(_Segment(start, stop, tuple(group), where))
-        start = stop
-    return OptState(arena, m_arena, v_arena, _named_views(m_arena, shapes),
-                    _named_views(v_arena, shapes), live, segments)
+    return OptState(arena, np.zeros(arena.size), np.zeros(arena.size), bounds,
+                    np.zeros(bounds[-1], dtype=bool), decay)
 
 
 def _blocks(pieces, scratch: np.ndarray):
@@ -284,43 +232,41 @@ def adamw_step(model: Model, state: OptState, lr: float, cfg: TrainConfig,
     scaled by `factor` (the clip from `clip_gradients`; no gradient array is written,
     since parameters can share one): the Adam step, then the decay of the updated
     value. Weight decay skips layer-norm gains and biases. It runs one `_adam_rows`
-    pass per segment of the arena (see OptState).
+    pass over the embedding tables' row segment and one over the flat rest (see
+    OptState).
 
-    On a row segment the Adam step runs on the live rows only, gathered from each
+    On the row segment the Adam step runs on the live rows only, gathered from each
     table's gradient, and every row then gets the decay: for a row that is not live the
     full arithmetic would subtract +0.0, so the bytes are those of the dense update.
     """
-    grads = {}
+    grads = []
     for name, p in model.params.items():
-        g = grads[name] = p.grad
+        g = p.grad
         if g is None:
             raise ValueError(f"parameter {name} has no gradient")
         if g.shape != p.data.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {p.data.shape} for {name}")
+        grads.append(g)
     state.t += 1
     decay = lr * cfg.weight_decay
-    for seg in state.segments:
-        p, m, v = (a[seg.start:seg.stop] for a in (state.arena, state.m_arena, state.v_arena))
-        if seg.live is None:
-            _adam_rows(p, [grads[name] for name in seg.names], m, v, lr, state.t, cfg, factor,
-                       decay, seg.decay)
-            continue
-        for name in seg.names:
-            state.live[name] |= (grads[name] != 0).any(axis=1)
-        rows = np.flatnonzero(seg.live)
-        cuts = np.searchsorted(rows, seg.bounds)
-        pieces = [grads[name][rows[a:b] - lo]
-                  for name, lo, a, b in zip(seg.names, seg.bounds, cuts, cuts[1:])]
-        p, m, v = (a.reshape(-1, seg.width) for a in (p, m, v))
-        pr, mr, vr = p[rows], m[rows], v[rows]
-        _adam_rows(pr.reshape(-1), pieces, mr.reshape(-1), vr.reshape(-1), lr, state.t, cfg,
-                   factor)
-        p[rows], m[rows], v[rows] = pr, mr, vr
-        if seg.decay:
-            flat = p.reshape(-1)
-            for lo in range(0, flat.size, _ADAMW_BLOCK):
-                pb = flat[lo:lo + _ADAMW_BLOCK]
-                pb -= pb * decay
+    tables, bounds = grads[:_TABLES], state.bounds
+    split = bounds[-1] * model.config.d_model
+    for g, lo, hi in zip(tables, bounds, bounds[1:]):
+        state.live[lo:hi] |= (g != 0).any(axis=1)
+    rows = np.flatnonzero(state.live)
+    cuts = np.searchsorted(rows, bounds)
+    pieces = [g[rows[a:b] - lo] for g, lo, a, b in zip(tables, bounds, cuts, cuts[1:])]
+    p, m, v = (a[:split].reshape(-1, model.config.d_model)
+               for a in (state.arena, state.m_arena, state.v_arena))
+    pr, mr, vr = p[rows], m[rows], v[rows]
+    _adam_rows(pr.reshape(-1), pieces, mr.reshape(-1), vr.reshape(-1), lr, state.t, cfg, factor)
+    p[rows], m[rows], v[rows] = pr, mr, vr
+    flat = p.reshape(-1)
+    for lo in range(0, flat.size, _ADAMW_BLOCK):
+        pb = flat[lo:lo + _ADAMW_BLOCK]
+        pb -= pb * decay
+    p, m, v = (a[split:] for a in (state.arena, state.m_arena, state.v_arena))
+    _adam_rows(p, grads[_TABLES:], m, v, lr, state.t, cfg, factor, decay, state.decay)
 
 
 def clip_gradients(model: Model) -> float:
@@ -362,8 +308,7 @@ def train_loop(model: Model, train_batches: list[Batch], valid: list[EvalExample
             raise ValueError("no validation examples")
         score_fn = default_valid_scorer(vocab, valid)
 
-    # The arena is in the model's parameter order, which the checkpoint needs to be its config's.
-    _declared_shapes(model.config, vocab.size, {n: p.shape for n, p in model.params.items()})
+    _declared_shapes(model.config, vocab.size)
     rng = np.random.default_rng(cfg.seed)
     state = init_opt_state(model)
     total_steps = cfg.epochs * len(train_batches)
@@ -440,7 +385,7 @@ def staged_write(path, mode: str = "w"):
 def _declared_shapes(config: ModelConfig, n_tokens: int, params: dict | None = None) -> dict:
     """`param_shapes(config)`, if the vocabulary has `config.vocab_size` tokens and `params`
     (name -> shape tuple), when given, equals it in order; else CheckpointFormatError. Load,
-    save and `train_loop` use it."""
+    save and `train_loop` (for the vocabulary) use it."""
     if n_tokens != config.vocab_size:
         raise CheckpointFormatError(f"checkpoint vocabulary has {n_tokens} tokens, "
                                     f"its config's vocab_size is {config.vocab_size}")
@@ -549,6 +494,6 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> Model:
-    """A model over the checkpoint's arrays, which `load_checkpoint` has checked against
+    """A model over the checkpoint's payload, which `load_checkpoint` has checked against
     its config."""
-    return model_from_arrays(ckpt.config, ckpt.params)
+    return Model(ckpt.config, ckpt.payload)

@@ -79,6 +79,11 @@ class TestTrain:
         assert main(args) == 2
         assert "absent.src" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+        # One epoch over a corpus that fits in one batch is a one-step schedule.
+        args = train_args(corpus_dir, tmp_path / "y", ["--epochs", "1", "--batch-size", "64"])
+        assert main(args) == 2
+        assert "at least 2" in one_error_line(capsys)
+        assert not (tmp_path / "y").exists()
 
     def test_config_file_flags_override(self, corpus_dir, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -390,6 +395,21 @@ class TestReport:
         d.mkdir()
         assert main(["report", str(d)]) == 0
         assert "43.30" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text", [
+        json.dumps({"label": "x", "sari": 1.0, "add": 1.0, "keep": 1.0, "n": 1}),
+        json.dumps([1, 2]),
+        json.dumps({"label": "x", "sari": "1.0", "add": 1.0, "keep": 1.0, "delete": 1.0}),
+        json.dumps({"label": 3, "sari": 1.0, "add": 1.0, "keep": 1.0, "delete": 1.0}),
+        '{"label": ',
+    ], ids=["missing_key", "not_object", "string_score", "number_label", "not_json"])
+    def test_bad_json_exits_2_before_writing(self, text, tmp_path, capsys):
+        d = tmp_path / "run"
+        d.mkdir()
+        (d / "report.json").write_text(text)
+        assert main(["report", str(d), "--out", str(tmp_path / "cmp")]) == 2
+        assert str(d / "report.json") in one_error_line(capsys)
+        assert not (tmp_path / "cmp").exists()
 
 
 _VALUES = st.one_of(st.text(max_size=12), st.integers().map(str), st.floats().map(repr),

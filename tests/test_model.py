@@ -1,11 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from sentsimp import tensor as T
 from sentsimp.cli import build_parser
-from sentsimp.model import (BIDIRECTIONAL, CAUSAL, ModelConfig, VARIANTS, attention, forward,
-                            init_model, variant_config)
+from sentsimp.model import (BIDIRECTIONAL, CAUSAL, GPT2_VOCAB, INIT_STD, Model, ModelConfig,
+                            VARIANTS, attention, forward, init_model, param_shapes, param_views,
+                            variant_config)
 from sentsimp.tensor import Tensor
+from sentsimp.train import init_opt_state
 
 from conftest import random_batch, toy_model_config
 
@@ -116,12 +120,60 @@ class TestInitModel:
                 assert np.all(p.data == 0.0)
 
     def test_no_decay_covers_exactly_layer_norms(self):
+        """AdamW's decay mask, cut at the parameters after the embedding tables, is all
+        False on the layer norms and all True on every other parameter."""
         model = init_model(toy_model_config(16), 0)
-        assert model.no_decay == {n for n in model.params if ".ln" in n}
+        state = init_opt_state(model)
+        rest = dict(list(param_shapes(model.config).items())[4:])
+        flags = param_views(state.decay, rest)
+        assert all(f.all() or not f.any() for f in flags.values())
+        assert {n for n, f in flags.items() if not f.any()} == {
+            n for n in model.params if ".ln" in n}
 
     def test_embeddings_are_exactly_the_token_and_position_tables(self):
-        model = init_model(toy_model_config(16), 0)
-        assert model.embeddings == {"enc.tok_emb", "enc.pos_emb", "dec.tok_emb", "dec.pos_emb"}
+        """AdamW's row segment is the four leading `param_shapes` entries, and those are
+        the token and position tables, each a row per id or position, d_model wide."""
+        cfg = toy_model_config(16)
+        state = init_opt_state(init_model(cfg, 0))
+        tables = list(param_shapes(cfg).items())[:4]
+        assert {n for n, _ in tables} == {"enc.tok_emb", "enc.pos_emb", "dec.tok_emb",
+                                          "dec.pos_emb"}
+        assert {n for n in param_shapes(cfg) if n.endswith("_emb")} == {n for n, _ in tables}
+        assert all(s[1] == cfg.d_model for _, s in tables)
+        assert state.bounds == (0, 16, 96, 112, 192)
+        assert state.live.shape == (192,) and not state.live.any()
+        assert state.decay.size == state.arena.size - 192 * cfg.d_model
+
+    @pytest.mark.parametrize("cfg", [
+        toy_model_config(29),
+        replace(variant_config("gpt2", "toy", vocab_size=GPT2_VOCAB), max_len=16),
+    ], ids=["toy", "bigvocab"])
+    def test_payload_matches_per_tensor_normal_draws(self, cfg):
+        """Drawing into the payload and scaling gives exactly the bytes of one
+        `rng.normal(0.0, INIT_STD, size=shape)` per weight in `param_shapes` order."""
+        rng = np.random.default_rng(7)
+        want = [np.ones(s) if n.endswith(".gain") else np.zeros(s) if ".ln" in n
+                else rng.normal(0.0, INIT_STD, size=s) for n, s in param_shapes(cfg).items()]
+        payload = init_model(cfg, 7).payload
+        offset = 0
+        for a in want:
+            assert payload[offset:offset + a.size].tobytes() == a.tobytes()
+            offset += a.size
+        assert offset == payload.size
+
+    @pytest.mark.parametrize("payload", [
+        lambda n: np.zeros(n, dtype=np.float32),
+        lambda n: np.zeros(n + 1),
+        lambda n: np.zeros(n - 1),
+        lambda n: np.zeros(2 * n)[::2],
+        lambda n: np.zeros((1, n)),
+        lambda n: np.zeros(n).astype(">f8"),
+        lambda n: [0.0] * n,
+    ], ids=["float32", "long", "short", "strided", "2d", "big_endian", "list"])
+    def test_payload_that_tensors_would_copy_is_rejected(self, payload):
+        cfg = toy_model_config(16)
+        with pytest.raises(ValueError, match="payload"):
+            Model(cfg, payload(expected_param_count(cfg)))
 
 
 class TestAttention:

@@ -1,3 +1,4 @@
+import copy
 import gc
 import json
 import math
@@ -18,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 import sentsimp
 from sentsimp import tensor as T
 from sentsimp.corpus import EvalExample
-from sentsimp.model import Model, ModelConfig, forward, init_model, param_shapes
+from sentsimp.model import Model, ModelConfig, forward, init_model, param_shapes, param_views
 from sentsimp.tensor import Tensor
 from sentsimp.train import (Checkpoint, CheckpointFormatError, EpochRecord, TrainConfig,
                             TrainHistory, adamw_step, clip_gradients, history_tsv, init_opt_state,
@@ -76,29 +77,36 @@ def assert_laid_end_to_end(flat: np.ndarray, arrays) -> None:
     assert offset == flat.size
 
 
+TINY = ModelConfig(d_model=3, n_heads=1, n_layers=1, d_ff=2, vocab_size=4, max_len=3)
+
+
 def scalar_model(value: float) -> Model:
-    cfg = ModelConfig(d_model=2, n_heads=1, n_layers=1, d_ff=2, vocab_size=8)
-    p = Tensor(np.array([value]), requires_grad=True)
-    return Model(cfg, {"w": p})
+    """A tiny model whose `out.b[0]`, a decayed parameter entry, holds `value`, with every
+    gradient zero. The update is elementwise, so a test can follow that one entry."""
+    model = init_model(TINY, 0)
+    model.params["out.b"].data[0] = value
+    for p in model.parameters():
+        p.grad = np.zeros_like(p.data)
+    return model
 
 
 class TestAdamW:
     def test_zero_gradient_pure_decay(self):
         model = scalar_model(1.0)
-        model.params["w"].grad = np.array([0.0])
         adamw_step(model, init_opt_state(model), lr=0.1, cfg=TrainConfig())
-        assert model.params["w"].data[0] == pytest.approx(0.999, abs=1e-12)
+        assert model.params["out.b"].data[0] == pytest.approx(0.999, abs=1e-12)
 
     def test_first_step_moves_by_lr(self):
         model = scalar_model(1.0)
-        model.params["w"].grad = np.array([0.5])
+        model.params["out.b"].grad[0] = 0.5
         adamw_step(model, init_opt_state(model), lr=0.1, cfg=TrainConfig())
         # the Adam step moves by lr, then the fixed 0.01 decay shrinks by lr * 0.01
-        assert model.params["w"].data[0] == pytest.approx(0.9 * (1 - 0.1 * 0.01), abs=1e-6)
+        assert model.params["out.b"].data[0] == pytest.approx(0.9 * (1 - 0.1 * 0.01), abs=1e-6)
 
     def test_three_steps_match_hand_recurrence(self):
         lr, b1, b2, eps, wd = 0.1, 0.9, 0.999, 1e-8, 0.01
         model = scalar_model(1.0)
+        w = model.params["out.b"]
         state = init_opt_state(model)
         cfg = TrainConfig()
         # hand-iterated recurrence on f(p) = p^2
@@ -112,59 +120,61 @@ class TestAdamW:
             p = p - lr * mhat / (math.sqrt(vhat) + eps)
             p = p - lr * wd * p
 
-            model.params["w"].grad = np.array([2 * model.params["w"].data[0]])
+            w.grad[0] = 2 * w.data[0]
             adamw_step(model, state, lr=lr, cfg=cfg)
-        assert model.params["w"].data[0] == pytest.approx(p, abs=1e-12)
+        assert w.data[0] == pytest.approx(p, abs=1e-12)
 
     def test_missing_gradient_rejected(self):
         model = scalar_model(1.0)
-        with pytest.raises(ValueError):
+        model.params["out.b"].grad = None
+        with pytest.raises(ValueError, match="out.b"):
             adamw_step(model, init_opt_state(model), 0.1, TrainConfig())
 
     def test_layer_norm_params_not_decayed(self):
-        cfg = ModelConfig(d_model=2, n_heads=1, n_layers=1, d_ff=2, vocab_size=8)
-        p = Tensor(np.array([1.0]), requires_grad=True)
-        model = Model(cfg, {"enc.0.ln1.gain": p})
-        p.grad = np.array([0.0])
+        model = scalar_model(1.0)
+        before = {n: p.data.tobytes() for n, p in model.params.items() if ".ln" in n}
         adamw_step(model, init_opt_state(model), 0.1, TrainConfig())
-        assert p.data[0] == 1.0
+        assert model.params["enc.0.ln1.gain"].data[0] == 1.0
+        assert {n: model.params[n].data.tobytes() for n in before} == before
 
     def test_parameters_and_moments_are_views_of_their_arenas(self):
         model = init_model(toy_model_config(29), 0)
-        before = {n: p.data.tobytes() for n, p in model.params.items()}
+        before = model.payload.tobytes()
         state = init_opt_state(model)
-        names = list(param_shapes(model.config))
-        assert list(model.params) == list(state.m) == list(state.v) == names
+        assert state.arena is model.payload
+        assert list(model.params) == list(param_shapes(model.config))
         assert_laid_end_to_end(state.arena, [p.data for p in model.params.values()])
-        assert_laid_end_to_end(state.m_arena, state.m.values())
-        assert_laid_end_to_end(state.v_arena, state.v.values())
-        assert {n: p.data.tobytes() for n, p in model.params.items()} == before
+        assert state.m_arena.shape == state.v_arena.shape == state.arena.shape
+        assert not np.shares_memory(state.m_arena, state.v_arena)
+        assert model.payload.tobytes() == before
         assert not state.m_arena.any() and not state.v_arena.any()
         # The four embedding tables lead the header order: one row segment, then one flat.
-        assert [seg.names for seg in state.segments] == [tuple(names[:4]), tuple(names[4:])]
-        assert [seg.width for seg in state.segments] == [64, 0]
+        tables = list(param_shapes(model.config).values())[:4]
+        assert state.bounds == tuple(np.cumsum([0] + [s[0] for s in tables]))
+        assert state.decay.size == state.arena.size - state.bounds[-1] * 64
 
     def test_blocked_update_matches_whole_array_recurrence(self):
         """Updating the arena a segment and a block at a time, the embedding tables' live
         rows only, gives exactly the bytes of the per-parameter whole-array formula on
-        the clipped gradient, over parameters larger than one block. The layer-norm
-        bias sits inside a block between two decayed parameters, and its -0.0 entries,
-        whose gradient is always zero, stay -0.0."""
-        cfg = ModelConfig(d_model=2, n_heads=1, n_layers=1, d_ff=2, vocab_size=8)
+        the clipped gradient. The token tables and out.w are larger than one block, and
+        the layer norms sit between decayed parameters: ln2.bias's -0.0 entries, whose
+        gradient is always zero, stay -0.0."""
+        cfg = ModelConfig(d_model=37, n_heads=1, n_layers=1, d_ff=5, vocab_size=3001,
+                          max_len=20)
         rng = np.random.default_rng(0)
-        shapes = {"big": (3001, 37), "enc.0.ln2.bias": (9,), "vec": (5,),
-                  "enc.0.ln1.gain": (7,), "enc.tok_emb": (3001, 37), "dec.tok_emb": (700, 37)}
-        model = Model(cfg, {n: Tensor(rng.normal(size=s), requires_grad=True)
-                            for n, s in shapes.items()})
+        shapes = param_shapes(cfg)
+        model = init_model(cfg, 1)
         model.params["enc.tok_emb"].data[::7, ::3] = -0.0
         model.params["dec.tok_emb"].data[::5, ::2] = -0.0
         model.params["enc.0.ln2.bias"].data[::2] = -0.0
-        # Rows of the table that a step's gradient reaches: 0-99 from step 1, 200-399
-        # from step 2 (live share 10%), 1000-2599 at step 3 only (share 60%). Row 100
-        # is reached at step 1 only; every other entry is +0.0 or -0.0.
-        reached = {1: np.r_[0:101], 2: np.r_[0:100, 200:400],
-                   3: np.r_[0:100, 200:400, 1000:2600]}
-        reached_dec = {1: np.r_[0:10], 2: np.r_[0:10, 300:350], 3: np.r_[600:700]}
+        # Rows of each table that a step's gradient reaches. For enc.tok_emb: 0-99 from
+        # step 1, 200-399 from step 2 (live share 10%), 1000-2599 at step 3 only (share
+        # 60%); row 100 is reached at step 1 only. Every other entry is +0.0 or -0.0.
+        reached = {"enc.tok_emb": {1: np.r_[0:101], 2: np.r_[0:100, 200:400],
+                                   3: np.r_[0:100, 200:400, 1000:2600]},
+                   "dec.tok_emb": {1: np.r_[0:10], 2: np.r_[0:10, 300:350], 3: np.r_[600:700]},
+                   "enc.pos_emb": {1: np.r_[0:7], 2: np.r_[0:12], 3: np.r_[0:5]},
+                   "dec.pos_emb": {1: np.r_[0:3], 2: np.r_[0:9], 3: np.r_[15:20]}}
         state, tc = init_opt_state(model), TrainConfig()
         p = {n: t.data.copy() for n, t in model.params.items()}
         m = {n: np.zeros(s) for n, s in shapes.items()}
@@ -172,8 +182,8 @@ class TestAdamW:
         for t, lr, factor in ((1, 1e-3, 0.37), (2, 3e-3, 1.0), (3, 2e-3, 0.81)):
             for name, param in model.params.items():
                 g = param.grad = rng.normal(size=shapes[name])
-                if name.endswith("tok_emb"):
-                    rows = (reached if name == "enc.tok_emb" else reached_dec)[t]
+                if name in reached:
+                    rows = reached[name][t]
                     g[:] = np.where(rng.random(g.shape) < 0.5, -0.0, 0.0)
                     g[rows] = rng.normal(size=(len(rows), shapes[name][1]))
                     g[rows[::5], :4] = -0.0
@@ -185,18 +195,19 @@ class TestAdamW:
                 update = (m[name] / (1.0 - tc.beta1 ** t)) / (
                     np.sqrt(v[name] / (1.0 - tc.beta2 ** t)) + tc.eps_adam)
                 p[name] = p[name] - lr * update
-                if name not in model.no_decay:
+                if ".ln" not in name:
                     p[name] = p[name] - lr * tc.weight_decay * p[name]
             adamw_step(model, state, lr, tc, factor)
+        got_m, got_v = param_views(state.m_arena, shapes), param_views(state.v_arena, shapes)
         for name, param in model.params.items():
             assert param.data.tobytes() == p[name].tobytes()
-            assert state.m[name].tobytes() == m[name].tobytes()
-            assert state.v[name].tobytes() == v[name].tobytes()
-        live = np.flatnonzero(state.live["enc.tok_emb"])
-        assert np.array_equal(live, np.r_[0:101, 200:400, 1000:2600])
-        live = np.flatnonzero(state.live["dec.tok_emb"])
-        assert np.array_equal(live, np.r_[0:10, 300:350, 600:700])
-        assert state.live.keys() == {"enc.tok_emb", "dec.tok_emb"}
+            assert got_m[name].tobytes() == m[name].tobytes()
+            assert got_v[name].tobytes() == v[name].tobytes()
+        live = param_views(state.live, {n: (s[0],) for n, s in list(shapes.items())[:4]})
+        assert live.keys() == reached.keys()
+        for name, flags in live.items():
+            assert np.array_equal(np.flatnonzero(flags),
+                                  np.unique(np.concatenate(list(reached[name].values()))))
         kept = model.params["enc.0.ln2.bias"].data[::2]
         assert not kept.any() and np.signbit(kept).all()
 
@@ -207,17 +218,19 @@ class TestClipGradients:
         parents. `clip_gradients` only measures; `adamw_step` applies the clip factor
         as it reads each gradient, so each parameter sees its gradient scaled once
         and the shared array is never written."""
-        cfg = ModelConfig(d_model=2, n_heads=1, n_layers=1, d_ff=2, vocab_size=8)
-        rows = [[1.0, -2.0, 3.0]], [[0.5, 0.5, -1.0]], [[2.0, 0.0, 1.0]], [[1.0, 4.0, -1.0]]
-        a, b, x, r = (Tensor(np.array(row), requires_grad=True) for row in rows)
-        weights = Tensor(np.array([[3.0, -1.0, 2.0]]))
+        model = init_model(TINY, 0)
+        a, b, x, r = (model.params[f"enc.0.attn.b{part}"] for part in "qkvo")
+        weights = Tensor(np.array([3.0, -1.0, 2.0]))
         hidden = T.add(T.add(a, b), T.layer_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)),
                                                  residual=r))
         loss = T._result(np.asarray((hidden.data * weights.data).sum()), (hidden,),
                          lambda g: (g * weights.data,))
         T.backward(loss)
         assert a.grad is b.grad and x.grad is r.grad
-        model = Model(cfg, {"a": a, "b": b, "x": x, "r": r})
+        rng = np.random.default_rng(0)
+        for p in model.parameters():
+            if p.grad is None:
+                p.grad = rng.normal(size=p.shape)
         grads = {n: p.grad for n, p in model.params.items()}
         before = {n: g.tobytes() for n, g in grads.items()}
         norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
@@ -226,19 +239,18 @@ class TestClipGradients:
         factor = 0.5 / norm
 
         # The same step on unshared copies of the explicitly scaled gradients.
-        copies = {n: Tensor(p.data.copy(), requires_grad=True) for n, p in model.params.items()}
-        for n, p in copies.items():
+        reference = copy.deepcopy(model)
+        for n, p in reference.params.items():
             p.grad = grads[n] * factor
-        reference = Model(cfg, copies)
         tc = TrainConfig()
         state, ref_state = init_opt_state(model), init_opt_state(reference)
         adamw_step(model, state, 0.1, tc, factor)
         adamw_step(reference, ref_state, 0.1, tc)
         for name, p in model.params.items():
             assert p.grad is grads[name] and p.grad.tobytes() == before[name]
-            assert p.data.tobytes() == copies[name].data.tobytes()
-            assert state.m[name].tobytes() == ref_state.m[name].tobytes()
-            assert state.v[name].tobytes() == ref_state.v[name].tobytes()
+        assert model.payload.tobytes() == reference.payload.tobytes()
+        assert state.m_arena.tobytes() == ref_state.m_arena.tobytes()
+        assert state.v_arena.tobytes() == ref_state.v_arena.tobytes()
 
 
 class TestTrainConfig:
@@ -310,14 +322,25 @@ class TestTrainLoop:
         assert_laid_end_to_end(ckpt.payload, ckpt.params.values())
         assert not any(np.shares_memory(ckpt.payload, p.data) for p in model.params.values())
 
-    def test_model_out_of_header_order_is_rejected_before_training(self):
-        """The checkpoint's payload is a copy of the arena, which is in the model's
-        parameter order, so that order must be its config's."""
+    def test_deep_copy_trains_its_own_payload(self):
+        """A deep copy's tensors are views of the copy's own payload, so training the copy
+        leaves the original's bytes alone and ends where a fresh model would."""
         model, batches, valid, vocab = tiny_setup(4)
-        model.params = dict(reversed(model.params.items()))
-        with pytest.raises(CheckpointFormatError, match="out.b"):
-            train_loop(model, batches, valid, TrainConfig(epochs=1), vocab,
-                       score_fn=lambda m: 0.0)
+        before = model.payload.tobytes()
+        twin = copy.deepcopy(model)
+        assert twin.config == model.config and twin.payload.tobytes() == before
+        assert not np.shares_memory(twin.payload, model.payload)
+        assert_laid_end_to_end(twin.payload, [p.data for p in twin.parameters()])
+        assert all(p.requires_grad for p in twin.parameters())
+        cfg = TrainConfig(epochs=3, patience=None, seed=0)
+        ckpt, history = train_loop(twin, batches, valid, cfg, vocab, score_fn=lambda m: 0.0)
+        assert model.payload.tobytes() == before
+        fresh, *_ = tiny_setup(4)
+        want, want_history = train_loop(fresh, batches, valid, cfg, vocab,
+                                        score_fn=lambda m: 0.0)
+        assert ckpt.payload.tobytes() == want.payload.tobytes()
+        assert twin.payload.tobytes() == fresh.payload.tobytes()
+        assert history == want_history
 
     def test_reproducible_history(self):
         cfg = TrainConfig(epochs=3, patience=None, seed=0)
