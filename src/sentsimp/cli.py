@@ -21,7 +21,8 @@ from . import tokenizer as tok
 from .decoding import STRATEGIES, DecodeConfig, simplify
 from .model import VARIANTS, init_model, variant_config
 from .train import (TrainConfig, TrainingDivergedError, history_tsv, load_checkpoint,
-                    model_from_checkpoint, save_checkpoint, staged_write, train_loop)
+                    model_from_checkpoint, save_checkpoint, schedule_steps, staged_write,
+                    train_loop)
 from .tensor import NonFiniteError
 
 log = logging.getLogger(__name__)
@@ -116,10 +117,7 @@ def cmd_train(args) -> int:
     ]
     batches = C.make_batches(pairs, train_cfg.batch_size, vocab.pad_id,
                              model_cfg.max_len, shuffle_seed=train_cfg.seed)
-    steps = train_cfg.epochs * len(batches)
-    if steps < 2:
-        raise ValueError(f"{train_cfg.epochs} epoch(s) of {len(batches)} batch(es) make "
-                         f"{steps} step; the one-cycle schedule needs at least 2")
+    schedule_steps(train_cfg, len(batches))
     # After the inputs load and the schedule is checked, so bad input leaves no --out
     # behind; before training, so an unusable --out fails fast.
     os.makedirs(out_dir, exist_ok=True)

@@ -12,8 +12,11 @@ order, the checkpoint header's; each parameter tensor is a view of it.
 `init_model` fills a new payload and a checkpoint's payload is wrapped as
 it is, so training, the optimiser and the checkpoint all work on one array.
 
-Training feeds `decoder_logits` the whole target prefix; decoding runs
-the same layer loop incrementally, feeding only new tokens with a cache.
+Training runs the decoder's layer loop over the whole target prefix and
+hands its last hidden state, with the output projection's weight and bias,
+to the vocabulary-chunked `cross_entropy`, so it never builds [B, Lt, V]
+logits. Decoding runs the same loop incrementally, feeding only new tokens
+with a cache, and projects them with `decoder_logits`.
 """
 
 from __future__ import annotations
@@ -289,13 +292,11 @@ def encode_source(model: Model, src_ids: np.ndarray, src_pad_mask: np.ndarray,
     return x
 
 
-def decoder_logits(model: Model, enc_out: Tensor, src_pad_mask: np.ndarray,
-                   tgt_in_ids: np.ndarray, tgt_pad_mask: np.ndarray,
-                   train: bool = False, rng=None, cache: DecoderCache | None = None) -> Tensor:
-    """Logits [B, Lt, V] for tgt_in_ids: the whole target prefix, or with a cache only the tokens
-    after its `length` decoded ones (enc_out and src_pad_mask are read on its first call only)."""
+def _decoder_states(model: Model, enc_out: Tensor, src_pad_mask: np.ndarray,
+                    tgt_in_ids: np.ndarray, tgt_pad_mask: np.ndarray,
+                    train: bool, rng, cache: DecoderCache) -> Tensor:
+    """The last decoder layer's output [B, Lt, d], the layer loop of `decoder_logits`."""
     cfg = model.config
-    cache = DecoderCache() if cache is None else cache
     start, new = cache.length, tgt_in_ids.shape[1]
     if start + new > cfg.max_len:
         raise ValueError(f"target length {start + new} exceeds max_len {cfg.max_len}")
@@ -312,14 +313,31 @@ def decoder_logits(model: Model, enc_out: Tensor, src_pad_mask: np.ndarray,
         x = _sublayer(model, f"dec.{i}.ln2", x, cross, train, rng)
         x = _sublayer(model, f"dec.{i}.ln3", x, _ffn(model, f"dec.{i}.ff", x), train, rng)
     cache.length += new
+    return x
+
+
+def decoder_logits(model: Model, enc_out: Tensor, src_pad_mask: np.ndarray,
+                   tgt_in_ids: np.ndarray, tgt_pad_mask: np.ndarray,
+                   train: bool = False, rng=None, cache: DecoderCache | None = None) -> Tensor:
+    """Logits [B, Lt, V] for tgt_in_ids: the whole target prefix, or with a cache only the tokens
+    after its `length` decoded ones (enc_out and src_pad_mask are read on its first call only)."""
+    cache = DecoderCache() if cache is None else cache
+    x = _decoder_states(model, enc_out, src_pad_mask, tgt_in_ids, tgt_pad_mask, train, rng, cache)
     return T.matmul(x, model.params["out.w"], model.params["out.b"])
 
 
-def forward(model: Model, batch: Batch, train_mode: bool = False, rng=None) -> Tensor:
-    """Logits [B, Lt, V] for a teacher-forced batch."""
+def forward(model: Model, batch: Batch, train_mode: bool = False, rng=None, *,
+            ignore_id: int | None = None) -> Tensor:
+    """Logits [B, Lt, V] for a teacher-forced batch; with `ignore_id`, instead the mean
+    cross entropy against `batch.target_out_ids` (positions holding ignore_id left out),
+    projected and reduced a vocabulary chunk at a time so no [B, Lt, V] array is built."""
     if train_mode and model.config.dropout_rate > 0.0 and rng is None:
         raise ValueError("train_mode with dropout needs an rng")
     enc_out = encode_source(model, batch.source_ids, batch.source_pad_mask, train_mode, rng)
-    return decoder_logits(model, enc_out, batch.source_pad_mask,
-                          batch.target_in_ids, batch.target_pad_mask, train_mode, rng)
-
+    args = (model, enc_out, batch.source_pad_mask, batch.target_in_ids, batch.target_pad_mask,
+            train_mode, rng)
+    if ignore_id is None:
+        return decoder_logits(*args)
+    p = model.params
+    return T.cross_entropy(_decoder_states(*args, DecoderCache()), batch.target_out_ids,
+                           ignore_id, p["out.w"], p["out.b"])

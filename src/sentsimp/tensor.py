@@ -8,9 +8,11 @@ outputs.
 
 Each op records one tape node, and the hot compositions are folded into
 one: `matmul(x, w, bias)` is a linear layer, a single GEMM over x's rows
-with the bias added in place, and `layer_norm(x, gain, bias,
-residual=r)` normalises x + r. Backward functions never write into the
-gradient they are given, since it may be shared with other nodes.
+with the bias added in place; `layer_norm(x, gain, bias, residual=r)`
+normalises x + r; and `cross_entropy(x, targets, ignore_id, w, bias)` is
+the output projection and the loss together, run over vocabulary chunks
+so the logits are never held whole. Backward functions never write into
+the gradient they are given, since it may be shared with other nodes.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 
 GELU_C = math.sqrt(2.0 / math.pi)
 GELU_CUBIC = 0.044715
+_CHUNK = 2048  # vocabulary columns per block of logits in cross_entropy
 
 
 class NonFiniteError(ArithmeticError):
@@ -254,33 +257,93 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator, train: bool) -> Te
     return _result(out, (x,), bw)
 
 
-def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_id: int) -> Tensor:
-    """Mean negative log-likelihood over positions whose target != ignore_id."""
+def cross_entropy(x: Tensor, targets: np.ndarray, ignore_id: int,
+                  weight: Tensor | None = None, bias: Tensor | None = None) -> Tensor:
+    """Mean negative log-likelihood over positions whose target != ignore_id.
+
+    The logits are x itself, or with `weight` [d, V] (and `bias` [V]) the output
+    projection x @ weight + bias, which is never built whole. Both passes run over
+    `_CHUNK` vocabulary columns at a time: the forward keeps each row's running max,
+    its rescaled sum of exps and its target logit (an online softmax); the backward
+    recomputes each chunk's logits and turns them into softmax minus one-hot. With
+    one chunk the arithmetic, and so every byte, is that of the whole-row formula.
+    """
     targets = np.asarray(targets)
+    if targets.shape != x.shape[:-1]:
+        raise ShapeError(f"cross_entropy targets {targets.shape} do not fit inputs {x.shape}")
     valid = targets != ignore_id
     if not valid.any():
         raise ValueError("cross_entropy: every position is ignored")
-    vocab = logits.shape[-1]
+    if weight is not None and (weight.data.ndim != 2 or weight.shape[0] != x.shape[-1]):
+        raise ShapeError(f"cross_entropy weight {weight.shape} does not fit inputs {x.shape}")
+    vocab = x.shape[-1] if weight is None else weight.shape[1]
+    if bias is not None and (weight is None or bias.shape != (vocab,)):
+        raise ShapeError(f"cross_entropy bias {bias.shape} needs a weight of {vocab} columns")
     if targets[valid].min() < 0 or targets[valid].max() >= vocab:
         raise ShapeError(f"target id out of range for vocab of {vocab}")
-    z = logits.data - logits.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=-1))
-    safe = np.where(valid, targets, 0)
-    picked = np.take_along_axis(z, safe[..., None], axis=-1)[..., 0]
-    nll = np.where(valid, lse - picked, 0.0)
+    x2 = x.data.reshape(-1, x.shape[-1])
+    safe = np.where(valid, targets, 0).reshape(-1)
+    chunks = [(lo, min(lo + _CHUNK, vocab)) for lo in range(0, vocab, _CHUNK)]
+
+    def logits(lo, hi):
+        """The chunk's logits: a view of x, or a fresh array the caller may write."""
+        if weight is None:
+            return x2[:, lo:hi]
+        c = x2 @ weight.data[:, lo:hi]
+        if bias is not None:
+            c += bias.data[lo:hi]
+        return c
+
+    def hits(lo, hi):
+        """The rows whose target lies in the chunk, and its column there."""
+        rows = np.flatnonzero((safe >= lo) & (safe < hi))
+        return rows, safe[rows] - lo
+
+    picked = np.empty(len(x2))
+    m = s = None
+    for lo, hi in chunks:
+        c = logits(lo, hi)
+        if not np.isfinite(c).all():
+            raise NonFiniteError("cross_entropy produced a non-finite logit")
+        rows, cols = hits(lo, hi)
+        picked[rows] = c[rows, cols]
+        top = c.max(axis=1) if m is None else np.maximum(m, c.max(axis=1))
+        z = c - top[:, None]
+        total = np.exp(z, out=z).sum(axis=1)
+        s = total if m is None else s * np.exp(m - top) + total
+        m = top
+    lse = np.log(s)
+    nll = np.where(valid.reshape(-1), lse - (picked - m), 0.0)
     n = int(valid.sum())
     out = np.asarray(nll.sum() / n)
 
     def bw(g):
-        gl = z  # z is dead after the graph's one backward pass, so it takes the gradient
-        gl -= lse[..., None]
-        np.exp(gl, out=gl)
-        rows = gl.reshape(-1, vocab)
-        rows[np.arange(rows.shape[0]), safe.reshape(-1)] -= 1.0
-        gl *= (valid * (g / n))[..., None]
-        return (gl,)
+        row_scale = (valid.reshape(-1) * (g / n))[:, None]
+        gx = gw = gb = None
+        if weight is None:
+            gx = np.empty_like(x2)  # each chunk's gradient is written straight into it
+        else:
+            gw, gb = np.empty(weight.shape), np.empty(vocab)
+        for lo, hi in chunks:
+            c = logits(lo, hi)
+            c = np.subtract(c, m[:, None], out=gx[:, lo:hi] if weight is None else c)
+            c -= lse[:, None]
+            np.exp(c, out=c)
+            c[hits(lo, hi)] -= 1.0
+            c *= row_scale
+            if weight is None:
+                continue
+            part = c @ weight.data[:, lo:hi].T
+            if gx is None:
+                gx = part
+            else:
+                gx += part
+            gw[:, lo:hi] = x2.T @ c
+            gb[lo:hi] = c.sum(axis=0)
+        return (gx.reshape(x.shape), gw, gb)[:len(parents)]
 
-    return _result(out, (logits,), bw)
+    parents = tuple(t for t in (x, weight, bias) if t is not None)
+    return _result(out, parents, bw)
 
 
 def backward(loss: Tensor) -> None:

@@ -59,6 +59,8 @@ def build_vocab(corpus: list[str], max_size: int, min_freq: int = 1) -> Vocabula
         raise ValueError("cannot build a vocabulary from an empty corpus")
     if max_size < 5:
         raise ValueError("max_size must be at least 5 (4 specials + 1 token)")
+    if min_freq < 1:
+        raise ValueError(f"min_freq must be at least 1, got {min_freq}")
     counts = Counter()
     for line in corpus:
         counts.update(tokenize(line))

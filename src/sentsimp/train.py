@@ -136,6 +136,16 @@ class Checkpoint:
         return param_views(self.payload, param_shapes(self.config))
 
 
+def schedule_steps(cfg: TrainConfig, n_batches: int) -> int:
+    """The run's optimiser steps, `cfg.epochs` passes over `n_batches`; ValueError when
+    there are fewer than the 2 that the one-cycle schedule needs."""
+    steps = cfg.epochs * n_batches
+    if steps < 2:
+        raise ValueError(f"{cfg.epochs} epoch(s) of {n_batches} batch(es) make {steps} "
+                         f"step(s); the one-cycle schedule needs at least 2")
+    return steps
+
+
 def onecycle_lr(step: int, total_steps: int, cfg: TrainConfig) -> float:
     """Linear warmup base_lr -> max_lr, then cosine decay to final_lr."""
     if total_steps < 2:
@@ -308,10 +318,10 @@ def train_loop(model: Model, train_batches: list[Batch], valid: list[EvalExample
             raise ValueError("no validation examples")
         score_fn = default_valid_scorer(vocab, valid)
 
+    total_steps = schedule_steps(cfg, len(train_batches))
     _declared_shapes(model.config, vocab.size)
     rng = np.random.default_rng(cfg.seed)
     state = init_opt_state(model)
-    total_steps = cfg.epochs * len(train_batches)
     history = TrainHistory()
     best_sari = -math.inf
     best = None
@@ -323,15 +333,14 @@ def train_loop(model: Model, train_batches: list[Batch], valid: list[EvalExample
         losses = []
         for bi, batch in enumerate(train_batches):
             try:
-                logits = forward(model, batch, train_mode=True, rng=rng)
-                loss = T.cross_entropy(logits, batch.target_out_ids, ignore_id=vocab.pad_id)
+                loss = forward(model, batch, train_mode=True, rng=rng, ignore_id=vocab.pad_id)
             except NonFiniteError as exc:
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch {bi}"
                 ) from exc
             T.backward(loss)
             losses.append(loss.item())
-            del logits, loss  # the graph, freed before the update and the next forward
+            del loss  # the graph, freed before the update and the next forward
             norm = clip_gradients(model)
             factor = cfg.clip_norm / norm if norm > cfg.clip_norm else 1.0
             lr = onecycle_lr(step, total_steps, cfg)

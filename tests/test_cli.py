@@ -85,6 +85,12 @@ class TestTrain:
         assert "at least 2" in one_error_line(capsys)
         assert not (tmp_path / "y").exists()
 
+    def test_min_freq_below_one_exits_2_before_out(self, corpus_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(train_args(corpus_dir, out, ["--min-freq", "-3"])) == 2
+        assert "min_freq" in one_error_line(capsys)
+        assert not out.exists()
+
     def test_config_file_flags_override(self, corpus_dir, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("epochs=1\nseed=5\n")

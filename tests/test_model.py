@@ -234,6 +234,20 @@ class TestForward:
         assert not np.array_equal(forward(model, batch).data, base)
 
 
+    def test_loss_with_ignore_id_is_the_bytes_of_cross_entropy_over_the_logits(self):
+        """Below one vocabulary chunk, the fused projection and loss of training give the
+        loss and every gradient of `cross_entropy` over `forward`'s logits, to the byte."""
+        batch = random_batch(32, seed=2, b=3, ls=6, lt=5)
+        runs = []
+        for fused in (False, True):
+            model = init_model(toy_model_config(32), 1)
+            loss = (forward(model, batch, ignore_id=0) if fused else
+                    T.cross_entropy(forward(model, batch), batch.target_out_ids, 0))
+            T.backward(loss)
+            runs.append([loss.data.tobytes()] + [p.grad.tobytes() for p in model.parameters()])
+        assert runs[0] == runs[1]
+
+
 class TestMaskingSemantics:
     def test_causal_encoder_invariant_to_future(self):
         from sentsimp.model import encode_source
@@ -281,8 +295,9 @@ def test_gradients_flow_to_every_parameter():
 
 
 def test_train_step_tape_op_count(monkeypatch):
-    """Linear layers and residual + layer norm are one tape op each: a toy `bert`
-    train step's forward and loss record 132 ops (175 with them unfused)."""
+    """Linear layers, residual + layer norm, and the output projection + loss are one
+    tape op each: a toy `bert` train step's forward and loss, as `train_loop` runs it,
+    record 131 ops (175 with them unfused)."""
     model = init_model(toy_model_config(29), 0)
     batch = random_batch(29, 0, b=8, ls=12, lt=12)
     calls = []
@@ -293,5 +308,5 @@ def test_train_step_tape_op_count(monkeypatch):
         return result(data, parents, backward_fn)
 
     monkeypatch.setattr(T, "_result", counted)
-    T.cross_entropy(forward(model, batch, train_mode=True), batch.target_out_ids, ignore_id=0)
-    assert len(calls) <= 132
+    forward(model, batch, train_mode=True, ignore_id=0)
+    assert len(calls) <= 131

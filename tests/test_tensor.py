@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,6 +247,92 @@ class TestCrossEntropy:
         ignored = logits.grad[~valid]
         assert np.all(ignored == 0.0)
         assert np.signbit(ignored).any() and not np.signbit(ignored).all()
+
+
+class TestChunkedCrossEntropy:
+    """cross_entropy over vocabulary chunks, and with the output projection fused in,
+    against matmul then cross_entropy over whole rows. Chunks of 4 columns over an
+    11-word vocabulary end in a partial chunk; the targets hold pads (0) and the first
+    and last columns of chunks (3, 4, 7, 8, 10)."""
+    vocab = 11
+    targets = np.array([[4, 7, 0, 10], [8, 3, 0, 0], [1, 4, 10, 7]])
+
+    def leaves(self, seed):
+        rng = np.random.default_rng(seed)
+        return rng.normal(size=(3, 4, 5)), rng.normal(size=(5, self.vocab)), rng.normal(size=self.vocab)
+
+    def fused(self, x, w, b):
+        return T.cross_entropy(x, self.targets, 0, w, b)
+
+    def unfused(self, x, w, b):
+        return T.cross_entropy(T.matmul(x, w, b), self.targets, 0)
+
+    @staticmethod
+    def loss_and_grads(build, leaves):
+        ts = [tensor(a, rg=True) for a in leaves]
+        loss = build(*ts)
+        backward(T.scale(loss, -2.0))  # so the upstream gradient is not 1
+        return [loss.data] + [t.grad for t in ts]
+
+    def test_chunks_match_whole_rows(self, monkeypatch):
+        leaves = self.leaves(0)
+        whole = self.loss_and_grads(self.unfused, leaves)
+        monkeypatch.setattr(T, "_CHUNK", 4)
+        for build in (self.fused, self.unfused):
+            for got, want in zip(self.loss_and_grads(build, leaves), whole):
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_one_chunk_gives_the_bytes_of_matmul_then_cross_entropy(self):
+        leaves = self.leaves(1)
+        fused, unfused = (self.loss_and_grads(b, leaves) for b in (self.fused, self.unfused))
+        assert [a.tobytes() for a in fused] == [a.tobytes() for a in unfused]
+
+    def test_fused_grad_check_over_chunks(self, monkeypatch):
+        monkeypatch.setattr(T, "_CHUNK", 4)
+        x, w, b = (Tensor(a) for a in self.leaves(2))
+        assert grad_check(lambda t: self.fused(t, w, b), x) < 1e-6
+        assert grad_check(lambda t: self.fused(x, t, b), w) < 1e-6
+        assert grad_check(lambda t: self.fused(x, w, t), b) < 1e-6
+
+    def test_non_finite_chunk_logit_raises(self, monkeypatch):
+        monkeypatch.setattr(T, "_CHUNK", 4)
+        x, w, b = self.leaves(3)
+        b[9] = -np.inf  # in the last chunk only; a softmax over it would still be finite
+        with pytest.raises(NonFiniteError):
+            self.fused(tensor(x), tensor(w), tensor(b))
+
+    def test_shapes_checked(self):
+        x, w, b = (tensor(a) for a in self.leaves(4))
+        with pytest.raises(ShapeError, match="targets"):
+            T.cross_entropy(x, self.targets.T, 0, w, b)
+        with pytest.raises(ShapeError, match="weight"):
+            T.cross_entropy(x, self.targets, 0, tensor(w.data.T), b)
+        with pytest.raises(ShapeError, match="bias"):
+            T.cross_entropy(x, self.targets, 0, w, tensor(b.data[:-1]))
+
+    def test_peak_memory_stays_near_the_weight_gradient(self):
+        """At the `bigvocab` output shape ([8, 16, 64] x [64, 50257]) one forward plus
+        backward allocates at most 1.5x the weight's bytes, its gradient included; matmul
+        then cross_entropy holds [8, 16, 50257] logits and more."""
+        rng = np.random.default_rng(5)
+        d, vocab = 64, 50257
+        leaves = rng.normal(size=(8, 16, d)), rng.normal(size=(d, vocab)) * 0.02, np.zeros(vocab)
+        targets = rng.integers(4, vocab, size=(8, 16))
+        targets[:, 12:] = 0
+
+        def peak(build):
+            x, w, b = (tensor(a, rg=True) for a in leaves)
+            tracemalloc.start()
+            try:
+                backward(build(x, w, b, targets))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        bound = 1.5 * leaves[1].nbytes
+        assert peak(lambda x, w, b, t: T.cross_entropy(x, t, 0, w, b)) <= bound
+        assert peak(lambda x, w, b, t: T.cross_entropy(T.matmul(x, w, b), t, 0)) > bound
 
 
 class TestBackward:

@@ -26,6 +26,10 @@ class TestBuildVocab:
         assert "b" not in vocab.token_to_id
         assert "a" in vocab.token_to_id
 
+    def test_min_freq_below_one_rejected(self):
+        with pytest.raises(ValueError, match="min_freq"):
+            tok.build_vocab(["a a b"], max_size=10, min_freq=0)
+
     def test_all_rare_corpus_gives_specials_only(self):
         vocab = tok.build_vocab(["a b c"], max_size=10, min_freq=5)
         assert vocab.size == 4

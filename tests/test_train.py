@@ -366,6 +366,21 @@ class TestTrainLoop:
         train_loop(model, batches, valid, TrainConfig(epochs=2, patience=None, seed=0), vocab,
                    score_fn=score)
 
+    def test_short_schedule_rejected_before_the_first_forward(self, monkeypatch):
+        model, batches, valid, vocab = tiny_setup(4)
+        calls = []
+        real_forward = sentsimp.train.forward
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real_forward(*args, **kwargs)
+
+        monkeypatch.setattr(sentsimp.train, "forward", counted)
+        with pytest.raises(ValueError, match="at least 2"):
+            train_loop(model, batches[:1], valid, TrainConfig(epochs=1), vocab,
+                       score_fn=lambda m: 0.0)
+        assert calls == []
+
     def test_validation_sari_of_checkpoint_is_maximum(self):
         model, batches, valid, vocab = tiny_setup()
         cfg = TrainConfig(epochs=4, patience=None, seed=0)
