@@ -1,0 +1,132 @@
+#!/usr/bin/env python3
+"""Check that two revisions train and decode byte-identical outputs.
+
+    python3 scripts/byte_check.py PARENT [CHANGE]
+
+PARENT and CHANGE are git revisions; CHANGE defaults to the working tree,
+which is used in place. Each revision is checked out in a temporary
+`git worktree`, and every worktree is removed however the run ends.
+
+Both trees run the same toy flow, each with its own `src/` and
+`scripts/make_toy_corpus.py`: the corpus of `make_toy_corpus.py --seed 3`,
+then for each of the four variant names `sentsimp train` (4 epochs,
+seed 5, `--max-lr 3e-3`) and `sentsimp simplify` of the test sources,
+greedy and beam-4. The two trees run at the same time, each with one BLAS
+thread.
+
+For each artifact it prints `same`, or the offset of the first byte that
+differs. It exits 0 when every artifact is the same, 1 on any difference,
+and 2 when a revision cannot be checked out or its flow fails.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+VARIANTS = ("bert", "bert+gpt2", "gpt2", "gpt2+bert")
+ARTIFACTS = ("checkpoint.bin", "history.tsv", "greedy.txt", "beam.txt")
+
+# Run in each tree with its own src/ on the path; argv: the tree, the work directory and
+# the variant names.
+FLOW = """
+import subprocess, sys
+from pathlib import Path
+from sentsimp.cli import main
+
+tree, work = Path(sys.argv[1]), Path(sys.argv[2])
+corpus, out = work / "corpus", work / "out"
+subprocess.run([sys.executable, str(tree / "scripts" / "make_toy_corpus.py"), "--out",
+                str(corpus), "--seed", "3"], stdout=subprocess.DEVNULL, check=True)
+for variant in sys.argv[3:]:
+    run = out / variant.replace("+", "_")
+    code = main(["train", "--train-src", str(corpus / "train.src"),
+                 "--train-tgt", str(corpus / "train.tgt"), "--valid-stem", str(corpus / "valid"),
+                 "--out", str(run), "--variant", variant, "--epochs", "4", "--seed", "5",
+                 "--max-lr", "3e-3"])
+    for strategy in ("greedy", "beam"):
+        code = code or main(["simplify", "--checkpoint", str(run / "checkpoint.bin"),
+                             "--input", str(corpus / "test.src"),
+                             "--output", str(run / (strategy + ".txt")),
+                             "--strategy", strategy, "--beam-width", "4"])
+    if code:
+        sys.exit(f"{variant}: exit {code}")
+"""
+
+
+def first_difference(a: bytes, b: bytes) -> int | None:
+    """The offset of the first byte where `a` and `b` differ (the shorter one's length
+    when it is a prefix of the other), or None when they are equal."""
+    if a == b:
+        return None
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+
+
+def start_flow(tree: Path, work: Path) -> subprocess.Popen:
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    return subprocess.Popen([sys.executable, "-c", FLOW, str(tree), str(work), *VARIANTS],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+                            text=True)
+
+
+def git(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, text=True)
+
+
+def run(parent: str, change: str | None, tmp: Path) -> int:
+    trees, added = {}, []
+    try:
+        for side, rev in (("parent", parent), ("change", change)):
+            if rev is None:
+                trees[side] = ROOT
+                continue
+            tree = tmp / side / "tree"
+            done = git("worktree", "add", "--detach", str(tree), rev)
+            if done.returncode:
+                print(f"error: cannot check out {rev}: {done.stderr.strip()}", file=sys.stderr)
+                return 2
+            added.append(tree)
+            trees[side] = tree
+        flows = {side: start_flow(tree, tmp / side) for side, tree in trees.items()}
+        failed = False
+        for side, flow in flows.items():
+            log = flow.communicate()[0]
+            if flow.returncode:
+                print(f"error: the {side} flow failed:\n{log}", file=sys.stderr)
+                failed = True
+        if failed:
+            return 2
+    finally:
+        for tree in added:
+            git("worktree", "remove", "--force", str(tree))
+        git("worktree", "prune")
+
+    differs = False
+    for variant in VARIANTS:
+        for artifact in ARTIFACTS:
+            name = f"{variant.replace('+', '_')}/{artifact}"
+            a, b = ((tmp / side / "out" / name).read_bytes() for side in ("parent", "change"))
+            at = first_difference(a, b)
+            differs |= at is not None
+            print(f"{name:28} {'same' if at is None else f'differs at byte {at}'}")
+    return 1 if differs else 0
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("parent", help="revision to compare against")
+    ap.add_argument("change", nargs="?", help="revision to check (default: the working tree)")
+    args = ap.parse_args()
+    with tempfile.TemporaryDirectory(prefix="byte_check.") as tmp:
+        return run(args.parent, args.change, Path(tmp))
+
+
+if __name__ == "__main__":
+    sys.exit(main())

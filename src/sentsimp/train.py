@@ -2,8 +2,10 @@
 
 Training updates the model's payload in place: the optimiser adopts it as
 its arena, with both Adam moments in two more buffers of its layout, and
-takes that layout from the config (see `OptState`). The best-epoch
-snapshot is one copy of the payload, and that copy is the checkpoint's.
+takes that layout from the config (see `OptState`). AdamW updates each
+parameter on its own views of the three buffers, a block at a time. The
+best-epoch snapshot is one copy of the payload, and that copy is the
+checkpoint's.
 
 The checkpoint file is the magic "SSCK", then a little-endian uint32
 version (2) and uint64 header length, then a UTF-8 JSON header
@@ -24,7 +26,6 @@ import os
 import struct
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields, asdict
-from functools import cached_property
 from itertools import zip_longest
 from typing import ClassVar
 
@@ -90,19 +91,18 @@ class OptState:
     """AdamW's state over one model: its payload as the `arena`, both Adam moments in
     buffers of the same layout (`m_arena`, `v_arena`), and the step count `t`.
 
-    The layout comes from the config. `param_shapes` leads with the four embedding
-    tables, all `d_model` wide; `bounds` are their first rows (and the end) in the row
-    segment they form, and `live` flags which of those rows a gradient has reached at
-    some step. A row outside it has had an all-zero gradient at every step, so its
-    moments are +0.0 and the Adam step leaves it unchanged. Everything after the tables
-    is one flat segment, and `decay` flags its entries that weight decay applies to: all
-    but the layer norms' (`.ln`)."""
+    `slots` holds, per parameter in `param_shapes` order, its views of both moment
+    buffers, its rows of `live` (the embedding tables only, else None) and whether weight
+    decay applies to it (all but the layer norms, `.ln`). `param_shapes` leads with the
+    four embedding tables, all `d_model` wide, and `live` flags which of their rows, laid
+    end to end in that order, a gradient has reached at some step. A row outside it has
+    had an all-zero gradient at every step, so its moments are +0.0 and the Adam step
+    leaves it unchanged."""
     arena: np.ndarray
     m_arena: np.ndarray
     v_arena: np.ndarray
-    bounds: tuple[int, ...]
     live: np.ndarray
-    decay: np.ndarray
+    slots: list[tuple[np.ndarray, np.ndarray, np.ndarray | None, bool]]
     t: int = 0
 
 
@@ -124,16 +124,11 @@ class TrainHistory:
 @dataclass
 class Checkpoint:
     """A model's config, vocabulary and history, and every parameter's float64 values in
-    one flat `payload`, in `param_shapes(config)` order. `params` names views of the
-    payload, built on first use."""
+    one flat `payload`, in `param_shapes(config)` order."""
     config: ModelConfig
     vocab: Vocabulary
     payload: np.ndarray
     history: TrainHistory
-
-    @cached_property
-    def params(self) -> dict[str, np.ndarray]:
-        return param_views(self.payload, param_shapes(self.config))
 
 
 def schedule_steps(cfg: TrainConfig, n_batches: int) -> int:
@@ -164,56 +159,35 @@ def onecycle_lr(step: int, total_steps: int, cfg: TrainConfig) -> float:
 def init_opt_state(model: Model) -> OptState:
     """Adopt the model's payload as the arena, copying no parameter, and zero both
     moments in its layout."""
-    shapes = list(param_shapes(model.config).items())
-    tables, rest = shapes[:_TABLES], shapes[_TABLES:]
-    bounds = tuple(np.cumsum([0] + [s[0] for _, s in tables]).tolist())
-    decay = np.repeat([".ln" not in name for name, _ in rest], [math.prod(s) for _, s in rest])
+    shapes = param_shapes(model.config)
+    tables = {name: s[:1] for name, s in list(shapes.items())[:_TABLES]}
     arena = model.payload
     # np.zeros leaves the pages of moment rows that never go live untouched.
-    return OptState(arena, np.zeros(arena.size), np.zeros(arena.size), bounds,
-                    np.zeros(bounds[-1], dtype=bool), decay)
+    m_arena, v_arena = np.zeros(arena.size), np.zeros(arena.size)
+    live = np.zeros(sum(s[0] for s in tables.values()), dtype=bool)
+    ms, vs = param_views(m_arena, shapes), param_views(v_arena, shapes)
+    lives = param_views(live, tables)
+    slots = [(ms[n], vs[n], lives.get(n), ".ln" not in n) for n in shapes]
+    return OptState(arena, m_arena, v_arena, live, slots)
 
 
-def _blocks(pieces, scratch: np.ndarray):
-    """(offset, block) over the concatenation of the flattened `pieces`, `len(scratch)`
-    elements at a time: a view of a piece where the whole block lies in it, else the
-    block gathered into `scratch`, which the next block may overwrite."""
-    n, offset, fill = len(scratch), 0, 0
-    for piece in pieces:
-        flat, i = piece.reshape(-1), 0
-        while i < flat.size:
-            if fill == 0 and flat.size - i >= n:
-                yield offset, flat[i:i + n]
-                i += n
-                offset += n
-                continue
-            take = min(n - fill, flat.size - i)
-            scratch[fill:fill + take] = flat[i:i + take]
-            fill += take
-            i += take
-            if fill == n:
-                yield offset, scratch
-                offset += n
-                fill = 0
-    if fill:
-        yield offset, scratch[:fill]
-
-
-def _adam_rows(p, grads, m, v, lr: float, t: int, cfg: TrainConfig, factor: float,
-               decay: float | None = None, where: np.ndarray | None = None) -> None:
+def _adam(p, g, m, v, lr: float, t: int, cfg: TrainConfig, factor: float,
+          decay: float | None) -> None:
     """The AdamW recurrence on gradient g * factor, in place over the flat arrays p, m
-    and v, a block at a time; g is the flattened `grads` laid end to end, and is only
-    read. The decay of the updated value, if given, applies where `where` holds (never
-    by a multiply by 0.0, which would turn a -0.0 parameter into +0.0). Every operation
-    is elementwise, so blocking leaves the bytes unchanged."""
+    and v, a block at a time in two block-sized buffers; g is only read. The decay of the
+    updated value follows, if given. Every operation is elementwise, so blocking leaves
+    the bytes unchanged."""
     bc1 = 1.0 - cfg.beta1 ** t
     bc2 = 1.0 - cfg.beta2 ** t
-    for lo, gb in _blocks(grads, np.empty(min(_ADAMW_BLOCK, len(p)))):
-        block = slice(lo, lo + len(gb))
-        pb, mb, vb = p[block], m[block], v[block]
+    size = min(_ADAMW_BLOCK, p.size)
+    tmp_buffer, update_buffer = np.empty(size), np.empty(size)
+    for lo in range(0, p.size, _ADAMW_BLOCK):
+        block = slice(lo, lo + _ADAMW_BLOCK)
+        pb, gb, mb, vb = p[block], g[block], m[block], v[block]
+        tmp, update = tmp_buffer[:pb.size], update_buffer[:pb.size]
         if factor != 1.0:
-            gb = gb * factor
-        tmp = gb * (1.0 - cfg.beta1)
+            gb = np.multiply(gb, factor, out=update)  # last read before the update is formed
+        np.multiply(gb, 1.0 - cfg.beta1, out=tmp)
         mb *= cfg.beta1
         mb += tmp
         np.multiply(gb, 1.0 - cfg.beta2, out=tmp)
@@ -223,31 +197,27 @@ def _adam_rows(p, grads, m, v, lr: float, t: int, cfg: TrainConfig, factor: floa
         np.divide(vb, bc2, out=tmp)
         np.sqrt(tmp, out=tmp)
         tmp += cfg.eps_adam
-        update = mb / bc1
+        np.divide(mb, bc1, out=update)
         update /= tmp
         update *= lr
         pb -= update
         if decay is not None:
             np.multiply(pb, decay, out=tmp)
-            mask = where[block]
-            if mask.all():  # a masked subtract costs ~4x a plain one
-                pb -= tmp
-            else:
-                np.subtract(pb, tmp, out=pb, where=mask)
+            pb -= tmp
 
 
 def adamw_step(model: Model, state: OptState, lr: float, cfg: TrainConfig,
                factor: float = 1.0) -> None:
-    """One decoupled-weight-decay Adam update over every parameter, on the gradients
-    scaled by `factor` (the clip from `clip_gradients`; no gradient array is written,
-    since parameters can share one): the Adam step, then the decay of the updated
-    value. Weight decay skips layer-norm gains and biases. It runs one `_adam_rows`
-    pass over the embedding tables' row segment and one over the flat rest (see
-    OptState).
+    """One decoupled-weight-decay Adam update of each parameter over its own slice of
+    the arena, on the gradients scaled by `factor` (the clip from `clip_gradients`; no
+    gradient array is written, since parameters can share one): the Adam step, then the
+    decay of the updated value. Weight decay skips layer-norm gains and biases (never by
+    a multiply by 0.0, which would turn a -0.0 parameter into +0.0).
 
-    On the row segment the Adam step runs on the live rows only, gathered from each
-    table's gradient, and every row then gets the decay: for a row that is not live the
-    full arithmetic would subtract +0.0, so the bytes are those of the dense update.
+    On an embedding table the Adam step runs on the live rows only (see OptState),
+    gathered and scattered back, and every row then gets the decay: for a row that is
+    not live the full arithmetic would subtract +0.0, so the bytes are those of the
+    dense update.
     """
     grads = []
     for name, p in model.params.items():
@@ -259,24 +229,22 @@ def adamw_step(model: Model, state: OptState, lr: float, cfg: TrainConfig,
         grads.append(g)
     state.t += 1
     decay = lr * cfg.weight_decay
-    tables, bounds = grads[:_TABLES], state.bounds
-    split = bounds[-1] * model.config.d_model
-    for g, lo, hi in zip(tables, bounds, bounds[1:]):
-        state.live[lo:hi] |= (g != 0).any(axis=1)
-    rows = np.flatnonzero(state.live)
-    cuts = np.searchsorted(rows, bounds)
-    pieces = [g[rows[a:b] - lo] for g, lo, a, b in zip(tables, bounds, cuts, cuts[1:])]
-    p, m, v = (a[:split].reshape(-1, model.config.d_model)
-               for a in (state.arena, state.m_arena, state.v_arena))
-    pr, mr, vr = p[rows], m[rows], v[rows]
-    _adam_rows(pr.reshape(-1), pieces, mr.reshape(-1), vr.reshape(-1), lr, state.t, cfg, factor)
-    p[rows], m[rows], v[rows] = pr, mr, vr
-    flat = p.reshape(-1)
-    for lo in range(0, flat.size, _ADAMW_BLOCK):
-        pb = flat[lo:lo + _ADAMW_BLOCK]
-        pb -= pb * decay
-    p, m, v = (a[split:] for a in (state.arena, state.m_arena, state.v_arena))
-    _adam_rows(p, grads[_TABLES:], m, v, lr, state.t, cfg, factor, decay, state.decay)
+    for param, g, (m, v, live, decays) in zip(model.params.values(), grads, state.slots):
+        p = param.data
+        if live is None:
+            _adam(p.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1), lr, state.t,
+                  cfg, factor, decay if decays else None)
+            continue
+        live |= (g != 0).any(axis=1)
+        rows = np.flatnonzero(live)
+        pr, mr, vr = p[rows], m[rows], v[rows]
+        _adam(pr.reshape(-1), g[rows].reshape(-1), mr.reshape(-1), vr.reshape(-1), lr,
+              state.t, cfg, factor, None)
+        p[rows], m[rows], v[rows] = pr, mr, vr
+        flat = p.reshape(-1)
+        for lo in range(0, flat.size, _ADAMW_BLOCK):
+            pb = flat[lo:lo + _ADAMW_BLOCK]
+            pb -= pb * decay
 
 
 def clip_gradients(model: Model) -> float:
@@ -342,6 +310,9 @@ def train_loop(model: Model, train_batches: list[Batch], valid: list[EvalExample
             losses.append(loss.item())
             del loss  # the graph, freed before the update and the next forward
             norm = clip_gradients(model)
+            if not math.isfinite(norm):  # the update would write it into the payload
+                raise TrainingDivergedError(
+                    f"non-finite gradient norm {norm} at epoch {epoch}, batch {bi}")
             factor = cfg.clip_norm / norm if norm > cfg.clip_norm else 1.0
             lr = onecycle_lr(step, total_steps, cfg)
             adamw_step(model, state, lr, cfg, factor)

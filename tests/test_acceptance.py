@@ -14,7 +14,8 @@ from sentsimp import tensor as T
 from sentsimp.cli import main
 from sentsimp.corpus import EvalExample
 from sentsimp.decoding import DecodeConfig, greedy_decode_batch
-from sentsimp.model import encode_source, forward, init_model, variant_config
+from sentsimp.model import (encode_source, forward, init_model, param_shapes, param_views,
+                            variant_config)
 from sentsimp.sari import sari_corpus, sari_sentence
 from sentsimp.train import TrainConfig, onecycle_lr, train_loop
 
@@ -177,7 +178,8 @@ def test_criterion_6_early_stopping():
     ckpt, history = train_loop(model, batches, valid, cfg, vocab, score_fn=score)
     stopped_ok = len(history.epochs) == 5 and history.stopped_early
     best_ok = history.best_epoch == 2 and all(
-        np.array_equal(ckpt.params[name], snapshots[1][name]) for name in ckpt.params
+        np.array_equal(data, snapshots[1][name])
+        for name, data in param_views(ckpt.payload, param_shapes(ckpt.config)).items()
     )
     verdict(6, "early stopping", stopped_ok and best_ok,
             f"stopped after epoch {len(history.epochs)}, "

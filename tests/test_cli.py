@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import struct
 import tempfile
 from contextlib import contextmanager, redirect_stderr
@@ -90,6 +91,33 @@ class TestTrain:
         assert main(train_args(corpus_dir, out, ["--min-freq", "-3"])) == 2
         assert "min_freq" in one_error_line(capsys)
         assert not out.exists()
+
+    def test_divergence_exits_1_naming_the_batch_that_overflowed(self, corpus_dir, tmp_path,
+                                                                capsys, monkeypatch):
+        """At an absurd learning rate the gradient norm overflows within a few steps;
+        training stops before that step's update and its last stderr line names the
+        epoch, the batch and the norm."""
+        trained, norms = [], []
+        forward, clip_gradients = train.forward, train.clip_gradients
+
+        def recording_forward(model, batch, **kwargs):
+            trained.append(batch)
+            return forward(model, batch, **kwargs)
+
+        def recording_clip(model):
+            norms.append(clip_gradients(model))
+            return norms[-1]
+
+        monkeypatch.setattr(train, "forward", recording_forward)
+        monkeypatch.setattr(train, "clip_gradients", recording_clip)
+        args = train_args(corpus_dir, tmp_path / "run", ["--max-lr", "1e9", "--base-lr", "1e8"])
+        assert main(args) == 1
+        assert all(map(math.isfinite, norms[:-1])) and not math.isfinite(norms[-1])
+        per_epoch = len({id(b) for b in trained})
+        epoch, batch = divmod(len(norms) - 1, per_epoch)
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"numeric failure: non-finite gradient norm {norms[-1]} at epoch {epoch + 1}, "
+            f"batch {batch}")
 
     def test_config_file_flags_override(self, corpus_dir, tmp_path):
         cfg = tmp_path / "run.cfg"

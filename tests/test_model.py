@@ -9,7 +9,7 @@ from sentsimp.model import (BIDIRECTIONAL, CAUSAL, GPT2_VOCAB, INIT_STD, Model, 
                             VARIANTS, attention, forward, init_model, param_shapes, param_views,
                             variant_config)
 from sentsimp.tensor import Tensor
-from sentsimp.train import init_opt_state
+from sentsimp.train import TrainConfig, adamw_step, init_opt_state
 
 from conftest import random_batch, toy_model_config
 
@@ -120,18 +120,20 @@ class TestInitModel:
                 assert np.all(p.data == 0.0)
 
     def test_no_decay_covers_exactly_layer_norms(self):
-        """AdamW's decay mask, cut at the parameters after the embedding tables, is all
-        False on the layer norms and all True on every other parameter."""
+        """With every gradient zero the Adam step moves nothing, so one AdamW step
+        changes exactly the parameters that weight decay applies to: all but the layer
+        norms, whose entries are set nonzero here so a decay would show."""
         model = init_model(toy_model_config(16), 0)
-        state = init_opt_state(model)
-        rest = dict(list(param_shapes(model.config).items())[4:])
-        flags = param_views(state.decay, rest)
-        assert all(f.all() or not f.any() for f in flags.values())
-        assert {n for n, f in flags.items() if not f.any()} == {
+        model.payload[:] = np.random.default_rng(0).normal(size=model.payload.size)
+        for p in model.parameters():
+            p.grad = np.zeros_like(p.data)
+        before = {n: p.data.tobytes() for n, p in model.params.items()}
+        adamw_step(model, init_opt_state(model), 0.1, TrainConfig())
+        assert {n for n, p in model.params.items() if p.data.tobytes() == before[n]} == {
             n for n in model.params if ".ln" in n}
 
     def test_embeddings_are_exactly_the_token_and_position_tables(self):
-        """AdamW's row segment is the four leading `param_shapes` entries, and those are
+        """AdamW's live rows cover the four leading `param_shapes` entries, and those are
         the token and position tables, each a row per id or position, d_model wide."""
         cfg = toy_model_config(16)
         state = init_opt_state(init_model(cfg, 0))
@@ -140,9 +142,7 @@ class TestInitModel:
                                           "dec.pos_emb"}
         assert {n for n in param_shapes(cfg) if n.endswith("_emb")} == {n for n, _ in tables}
         assert all(s[1] == cfg.d_model for _, s in tables)
-        assert state.bounds == (0, 16, 96, 112, 192)
         assert state.live.shape == (192,) and not state.live.any()
-        assert state.decay.size == state.arena.size - 192 * cfg.d_model
 
     @pytest.mark.parametrize("cfg", [
         toy_model_config(29),

@@ -24,7 +24,8 @@ from sentsimp.tensor import Tensor
 from sentsimp.train import (Checkpoint, CheckpointFormatError, EpochRecord, TrainConfig,
                             TrainHistory, adamw_step, clip_gradients, history_tsv, init_opt_state,
                             load_checkpoint, model_from_checkpoint, onecycle_lr,
-                            save_checkpoint, train_loop, _parse_header)
+                            save_checkpoint, train_loop, TrainingDivergedError,
+                            _parse_header)
 from sentsimp.tokenizer import SPECIALS, Vocabulary, build_vocab
 from sentsimp.decoding import DecodeConfig, simplify
 
@@ -75,6 +76,11 @@ def assert_laid_end_to_end(flat: np.ndarray, arrays) -> None:
         assert a.__array_interface__["data"][0] == start + 8 * offset
         offset += a.size
     assert offset == flat.size
+
+
+def ckpt_params(ckpt: Checkpoint) -> dict[str, np.ndarray]:
+    """Name -> a view of the checkpoint's payload for each parameter its config declares."""
+    return param_views(ckpt.payload, param_shapes(ckpt.config))
 
 
 TINY = ModelConfig(d_model=3, n_heads=1, n_layers=1, d_ff=2, vocab_size=4, max_len=3)
@@ -148,10 +154,30 @@ class TestAdamW:
         assert not np.shares_memory(state.m_arena, state.v_arena)
         assert model.payload.tobytes() == before
         assert not state.m_arena.any() and not state.v_arena.any()
-        # The four embedding tables lead the header order: one row segment, then one flat.
+        # The four embedding tables lead the header order, a live flag per row.
         tables = list(param_shapes(model.config).values())[:4]
-        assert state.bounds == tuple(np.cumsum([0] + [s[0] for s in tables]))
-        assert state.decay.size == state.arena.size - state.bounds[-1] * 64
+        assert state.live.shape == (sum(s[0] for s in tables),) and not state.live.any()
+
+    def test_step_allocates_blocks_not_parameters(self):
+        """The update runs a block at a time inside each parameter, so one step at a
+        vocabulary of 5,000 allocates under a quarter of out.w's 2.56 MB; one whole-array
+        temporary of out.w would be all of it. The gradient reaches 12 rows of each
+        table, as a batch's would."""
+        model = init_model(toy_model_config(5000), 0)
+        rng = np.random.default_rng(0)
+        for i, p in enumerate(model.parameters()):
+            p.grad = rng.normal(size=p.shape)
+            if i < 4:
+                p.grad[rng.permutation(p.shape[0])[12:]] = 0.0
+        state = init_opt_state(model)
+        tracemalloc.start()
+        try:
+            adamw_step(model, state, 1e-3, TrainConfig(), 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.live.sum() == 4 * 12
+        assert peak < 0.25 * model.params["out.w"].data.nbytes
 
     def test_blocked_update_matches_whole_array_recurrence(self):
         """Updating the arena a segment and a block at a time, the embedding tables' live
@@ -317,9 +343,9 @@ class TestTrainLoop:
         cfg = TrainConfig(epochs=5, patience=3, seed=0)
         ckpt, history = train_loop(model, batches, valid, cfg, vocab, score_fn=score)
         assert history.best_epoch == 2
-        for name, data in ckpt.params.items():
+        for name, data in ckpt_params(ckpt).items():
             assert np.array_equal(data, snapshots[1][name])
-        assert_laid_end_to_end(ckpt.payload, ckpt.params.values())
+        assert_laid_end_to_end(ckpt.payload, ckpt_params(ckpt).values())
         assert not any(np.shares_memory(ckpt.payload, p.data) for p in model.params.values())
 
     def test_deep_copy_trains_its_own_payload(self):
@@ -350,6 +376,14 @@ class TestTrainLoop:
             _, history = train_loop(model, batches, valid, cfg, vocab)
             histories.append(history_tsv(history))
         assert histories[0] == histories[1]
+
+    def test_non_finite_gradient_norm_stops_before_the_update(self):
+        model, batches, valid, vocab = tiny_setup()
+        cfg = TrainConfig(base_lr=1e8, max_lr=1e9, epochs=5, patience=None)
+        with pytest.raises(TrainingDivergedError,
+                           match=r"gradient norm inf at epoch \d+, batch \d+"):
+            train_loop(model, batches, valid, cfg, vocab, score_fn=lambda m: 0.0)
+        assert np.isfinite(model.payload).all()
 
     def test_no_gradient_or_graph_lives_through_validation(self):
         """Each step frees its graph and the parameters' gradients before the next
@@ -407,9 +441,10 @@ class TestCheckpointIO:
         assert loaded.config == ckpt.config
         assert loaded.vocab == vocab
         assert loaded.history == ckpt.history
-        assert set(loaded.params) == set(ckpt.params)
-        for name in ckpt.params:
-            assert loaded.params[name].tobytes() == ckpt.params[name].tobytes()
+        got, want = ckpt_params(loaded), ckpt_params(ckpt)
+        assert set(got) == set(want)
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes()
         resaved = tmp_path / "resaved.bin"
         save_checkpoint(loaded, resaved)
         assert resaved.read_bytes() == path.read_bytes()
@@ -432,8 +467,9 @@ class TestCheckpointIO:
         assert header["history"] == {"epochs": [{"epoch": 1, "train_loss": 2.5,
                                                  "valid_sari": 31.2, "lr": 1e-4}],
                                      "best_epoch": 1, "stopped_early": False}
-        assert header["params"] == {k: list(a.shape) for k, a in ckpt.params.items()}
-        assert raw[16 + n:] == b"".join(a.astype("<f8").tobytes() for a in ckpt.params.values())
+        params = ckpt_params(ckpt)
+        assert header["params"] == {k: list(a.shape) for k, a in params.items()}
+        assert raw[16 + n:] == b"".join(a.astype("<f8").tobytes() for a in params.values())
 
     def test_load_allocates_little_beyond_the_parameters(self, tmp_path):
         ckpt, _, _ = self.make_checkpoint()
@@ -446,7 +482,7 @@ class TestCheckpointIO:
         finally:
             tracemalloc.stop()
         # The tensors are views of the mapped file: what is allocated is the header's.
-        assert peak <= 0.1 * sum(a.nbytes for a in loaded.params.values())
+        assert peak <= 0.1 * sum(a.nbytes for a in ckpt_params(loaded).values())
 
     def test_loaded_tensors_are_aligned_private_views(self, tmp_path):
         ckpt, _, _ = self.make_checkpoint()
@@ -454,16 +490,17 @@ class TestCheckpointIO:
         save_checkpoint(ckpt, path)
         raw = path.read_bytes()
         loaded = load_checkpoint(path)
-        assert list(loaded.params) == list(param_shapes(loaded.config))
-        assert_laid_end_to_end(loaded.payload, loaded.params.values())
-        for a in loaded.params.values():
+        params = ckpt_params(loaded)
+        assert list(params) == list(param_shapes(loaded.config))
+        assert_laid_end_to_end(loaded.payload, params.values())
+        for a in params.values():
             assert a.flags["ALIGNED"] and a.flags["WRITEABLE"] and a.flags["C_CONTIGUOUS"]
             a += 1.0
         assert path.read_bytes() == raw
-        again = load_checkpoint(path)
-        for name, a in ckpt.params.items():
-            assert again.params[name].tobytes() == a.tobytes()
-            assert loaded.params[name].tobytes() == (a + 1.0).tobytes()
+        again = ckpt_params(load_checkpoint(path))
+        for name, a in ckpt_params(ckpt).items():
+            assert again[name].tobytes() == a.tobytes()
+            assert params[name].tobytes() == (a + 1.0).tobytes()
 
     def test_unpadded_header_loads_identically(self, tmp_path):
         """A file saved before the header was padded: its payload starts wherever the
@@ -480,10 +517,11 @@ class TestCheckpointIO:
                          + raw[16 + n:])
         loaded = load_checkpoint(path)
         assert loaded.vocab == ckpt.vocab and loaded.history == ckpt.history
-        assert_laid_end_to_end(loaded.payload, loaded.params.values())
-        for name, a in ckpt.params.items():
-            assert loaded.params[name].flags["ALIGNED"]
-            assert loaded.params[name].tobytes() == a.tobytes()
+        params = ckpt_params(loaded)
+        assert_laid_end_to_end(loaded.payload, params.values())
+        for name, a in ckpt_params(ckpt).items():
+            assert params[name].flags["ALIGNED"]
+            assert params[name].tobytes() == a.tobytes()
 
     def test_saving_over_a_loaded_checkpoint_keeps_its_tensors(self, tmp_path):
         """A save replaces the file by a rename, so tensors loaded from the old file keep
@@ -511,7 +549,7 @@ class TestCheckpointIO:
                                other.payload[:count] * 2.0, other.history)
             save_checkpoint(other, path)
             assert os.path.getsize(path) < len(raw) // 2
-            payload = b"".join(a.tobytes() for a in first.params.values())
+            payload = first.payload.tobytes()
             assert raw.endswith(payload), "a loaded tensor changed under a save"
         """)
         src = str(Path(sentsimp.__file__).resolve().parents[1])
