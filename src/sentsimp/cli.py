@@ -15,6 +15,8 @@ import os
 import sys
 from dataclasses import fields
 
+import numpy as np
+
 from . import corpus as C
 from . import sari as S
 from . import tokenizer as tok
@@ -120,9 +122,15 @@ def cmd_train(args) -> int:
     schedule_steps(train_cfg, len(batches))
     # After the inputs load and the schedule is checked, so bad input leaves no --out
     # behind; before training, so an unusable --out fails fast.
+    created = not os.path.exists(out_dir)
     os.makedirs(out_dir, exist_ok=True)
-    model = init_model(model_cfg, train_cfg.seed)
-    ckpt, history = train_loop(model, batches, valid, train_cfg, vocab)
+    try:
+        ckpt, history = train_loop(init_model(model_cfg, train_cfg.seed), batches, valid,
+                                   train_cfg, vocab)
+    except BaseException:
+        if created and not os.listdir(out_dir):  # a failed run leaves no empty --out behind
+            os.rmdir(out_dir)
+        raise
 
     with staged_write(os.path.join(out_dir, "config.resolved")) as f:
         for key in sorted((*TRAIN_SETTINGS, "out")):
@@ -291,7 +299,8 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _parse_args(argv)
-        return args.func(args)
+        with np.errstate(all="ignore"):  # the finite checks report an overflow, in one line
+            return args.func(args)
     except (OSError, ValueError) as exc:  # file-system errors; bad input, format errors too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

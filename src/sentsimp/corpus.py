@@ -37,7 +37,6 @@ class Batch:
     source_pad_mask: np.ndarray   # bool  [B, Ls], True at real tokens
     target_in_ids: np.ndarray     # int64 [B, Lt]
     target_out_ids: np.ndarray    # int64 [B, Lt]
-    target_pad_mask: np.ndarray   # bool  [B, Lt]
 
 
 def _read_lines(path) -> list[str]:
@@ -99,7 +98,7 @@ def make_batches(examples, batch_size: int, pad_id: int, max_len: int,
     """Group tokenized (source_ids, target_ids) pairs into padded batches.
 
     target_ids carry bos...eos; the batch stores the usual teacher-forcing
-    split: target_in = ids[:-1], target_out = ids[1:].
+    split: target_in = ids[:-1], target_out = ids[1:]; causal attention hides their pads.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -115,14 +114,15 @@ def make_batches(examples, batch_size: int, pad_id: int, max_len: int,
     for start in range(0, len(examples), batch_size):
         chunk = [examples[i] for i in order[start:start + batch_size]]
         src_ids, src_mask = pad_block([s for s, _ in chunk], pad_id)
-        tin_ids, tin_mask = pad_block([t[:-1] for _, t in chunk], pad_id)
+        tin_ids, _ = pad_block([t[:-1] for _, t in chunk], pad_id)
         tout_ids, _ = pad_block([t[1:] for _, t in chunk], pad_id)
-        batches.append(Batch(src_ids, src_mask, tin_ids, tout_ids, tin_mask))
+        batches.append(Batch(src_ids, src_mask, tin_ids, tout_ids))
     return batches
 
 
 def pad_block(seqs, pad_id) -> tuple[np.ndarray, np.ndarray]:
-    """Rows padded with pad_id to the longest: int64 ids and a bool mask, True at tokens."""
+    """Rows right-padded with pad_id to the longest, which causal attention relies on: int64
+    ids and a bool mask, True at tokens."""
     width = max(len(s) for s in seqs)
     ids = np.full((len(seqs), width), pad_id, dtype=np.int64)
     mask = np.zeros((len(seqs), width), dtype=bool)

@@ -4,7 +4,7 @@
 `greedy_decode_batch` decodes many sentences greedily in one padded batch.
 Both encode once, then feed each step's new tokens alone through a
 `DecoderCache`, over an untracked wrap of the model's payload so no autodiff
-tape is recorded.
+tape is recorded. A decoded prefix holds no pads: a step's token sees every cached one.
 The search cores `greedy_ids` and `beam_ids` map a step's live prefixes to
 next-token logits [rows, V] with one call, so they can be exercised against
 hand-built distributions as well as real models. Ties resolve to the lowest id.
@@ -43,7 +43,7 @@ class DecodeConfig:
 def _cached_step(model: Model, vocab: Vocabulary, sources: list[str], cfg: DecodeConfig):
     """Encode the sources as one padded batch; return the step over them and the length
     cap, which never exceeds the model's positions. After the first call, each prefix
-    extends by one token the prefix of row rows[i] of the previous call."""
+    extends by one token the prefix of row rows[i] (row i if rows is None) of the last call."""
     cap = min(cfg.max_len, model.config.max_len)
     model = Model(model.config, model.payload, requires_grad=False)
     src_ids, src_mask = pad_block([encode(vocab, s, cap).ids for s in sources], vocab.pad_id)
@@ -51,11 +51,10 @@ def _cached_step(model: Model, vocab: Vocabulary, sources: list[str], cfg: Decod
     cache = DecoderCache()
 
     def step(prefixes, rows) -> np.ndarray:
-        if cache.length:
+        if rows is not None:
             cache.select(np.asarray(rows, dtype=np.int64))
         tgt = np.asarray([p[-1:] for p in prefixes], dtype=np.int64)
-        return decoder_logits(model, enc_out, src_mask, tgt, np.ones_like(tgt, dtype=bool),
-                              cache=cache).data[:, -1]
+        return decoder_logits(model, enc_out, src_mask, tgt, cache=cache).data[:, -1]
 
     return step, cap
 
@@ -68,8 +67,9 @@ def _greedy_rows(step_fn, n_rows: int, bos_id: int, eos_id: int, max_len: int) -
         nxt = np.argmax(step_fn([prefixes[i] for i in live], rows), axis=-1)
         for i, tok in zip(live, nxt):
             prefixes[i].append(int(tok))
-        rows = [r for r, tok in enumerate(nxt) if tok != eos_id]
-        live = [live[r] for r in rows]
+        kept = [r for r, tok in enumerate(nxt) if tok != eos_id]
+        rows = None if len(kept) == len(live) else kept  # no gather while every row continues
+        live = [live[r] for r in kept]
     return prefixes
 
 

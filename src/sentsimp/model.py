@@ -5,7 +5,10 @@ There are two wirings. The encoder self-attends bidirectionally
 always causal self-attention plus cross-attention over the encoder output,
 so `bert+gpt2` and `gpt2+bert` are aliases of `bert` and `gpt2`. At paper
 scale the vocabulary size follows the encoder side. Residual +
-post-layer-norm around every sublayer.
+post-layer-norm around every sublayer. Sequences are right-padded
+(`corpus.pad_block`), so causal attention masks by position alone: no real
+position sees a pad, and nothing reads a pad position's output (the loss
+ignores it; cross-attention and the `bert` encoder mask source pads).
 
 A model's parameters live in one flat float64 payload in `param_shapes`
 order, the checkpoint header's; each parameter tensor is a view of it.
@@ -133,7 +136,7 @@ class DecoderCache:
     def __init__(self):
         self.length = 0
         self.kv: dict[str, tuple[Tensor, Tensor]] = {}
-        self.tgt_pad_mask = self.cross_mask = None
+        self.cross_mask = None
 
     def append(self, name: str, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
         if name in self.kv:
@@ -146,12 +149,7 @@ class DecoderCache:
         """Keep the given rows in the given order: beam parents, unfinished rows."""
         self.kv = {name: (Tensor(k.data[rows]), Tensor(v.data[rows]))
                    for name, (k, v) in self.kv.items()}
-        self.tgt_pad_mask, self.cross_mask = self.tgt_pad_mask[rows], self.cross_mask[rows]
-
-
-def _attn_param_names(prefix: str):
-    for part in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo"):
-        yield f"{prefix}.{part}"
+        self.cross_mask = self.cross_mask[rows]
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -165,8 +163,8 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     }
 
     def attn(prefix):
-        for name in _attn_param_names(prefix):
-            shapes[name] = (d, d) if name.split(".")[-1].startswith("w") else (d,)
+        for part in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo"):
+            shapes[f"{prefix}.{part}"] = (d, d) if part[0] == "w" else (d,)
 
     def ln(prefix):
         shapes[f"{prefix}.gain"] = (d,)
@@ -265,12 +263,6 @@ def _sublayer(model: Model, ln_prefix: str, x: Tensor, out: Tensor,
     return T.layer_norm(x, p[f"{ln_prefix}.gain"], p[f"{ln_prefix}.bias"], residual=out)
 
 
-def _self_mask(pad_mask: np.ndarray, causal: bool) -> np.ndarray:
-    """[B, 1, 1 or L, L] key-validity mask from [B, L] padding, optionally causal."""
-    mask = pad_mask[:, None, None, :]
-    return mask & np.tril(np.ones((pad_mask.shape[1],) * 2, dtype=bool)) if causal else mask
-
-
 def _embed(model: Model, side: str, ids: np.ndarray, train: bool, rng, start: int = 0) -> Tensor:
     p = model.params
     tok = T.embedding(p[f"{side}.tok_emb"], ids)
@@ -284,7 +276,8 @@ def encode_source(model: Model, src_ids: np.ndarray, src_pad_mask: np.ndarray,
     if src_ids.shape[1] > cfg.max_len:
         raise ValueError(f"source length {src_ids.shape[1]} exceeds max_len {cfg.max_len}")
     x = _embed(model, "enc", src_ids, train, rng)
-    mask = _self_mask(src_pad_mask, causal=cfg.encoder_masking == CAUSAL)
+    mask = (np.tri(src_ids.shape[1], dtype=bool) if cfg.encoder_masking == CAUSAL
+            else src_pad_mask[:, None, None, :])
     for i in range(cfg.n_layers):
         attn = _mha(model, f"enc.{i}.attn", x, _kv(model, f"enc.{i}.attn", x), mask)
         x = _sublayer(model, f"enc.{i}.ln1", x, attn, train, rng)
@@ -293,18 +286,16 @@ def encode_source(model: Model, src_ids: np.ndarray, src_pad_mask: np.ndarray,
 
 
 def _decoder_states(model: Model, enc_out: Tensor, src_pad_mask: np.ndarray,
-                    tgt_in_ids: np.ndarray, tgt_pad_mask: np.ndarray,
-                    train: bool, rng, cache: DecoderCache) -> Tensor:
+                    tgt_in_ids: np.ndarray, train: bool, rng, cache: DecoderCache) -> Tensor:
     """The last decoder layer's output [B, Lt, d], the layer loop of `decoder_logits`."""
     cfg = model.config
     start, new = cache.length, tgt_in_ids.shape[1]
     if start + new > cfg.max_len:
         raise ValueError(f"target length {start + new} exceeds max_len {cfg.max_len}")
     if start == 0:
-        cache.tgt_pad_mask, cache.cross_mask = tgt_pad_mask[:, :0], src_pad_mask[:, None, None, :]
+        cache.cross_mask = src_pad_mask[:, None, None, :]
         cache.kv = {f"dec.{i}.cross": _kv(model, f"dec.{i}.cross", enc_out) for i in range(cfg.n_layers)}
-    cache.tgt_pad_mask = np.concatenate([cache.tgt_pad_mask, tgt_pad_mask], axis=1)
-    self_mask = _self_mask(cache.tgt_pad_mask, causal=True)[:, :, start:]
+    self_mask = np.tri(new, start + new, start, dtype=bool)  # row i: keys 0 .. start + i
     x = _embed(model, "dec", tgt_in_ids, train, rng, start)
     for i in range(cfg.n_layers):
         self_kv = cache.append(f"dec.{i}.self", *_kv(model, f"dec.{i}.self", x))
@@ -316,13 +307,12 @@ def _decoder_states(model: Model, enc_out: Tensor, src_pad_mask: np.ndarray,
     return x
 
 
-def decoder_logits(model: Model, enc_out: Tensor, src_pad_mask: np.ndarray,
-                   tgt_in_ids: np.ndarray, tgt_pad_mask: np.ndarray,
-                   train: bool = False, rng=None, cache: DecoderCache | None = None) -> Tensor:
+def decoder_logits(model: Model, enc_out: Tensor, src_pad_mask: np.ndarray, tgt_in_ids: np.ndarray,
+                   *, train: bool = False, rng=None, cache: DecoderCache | None = None) -> Tensor:
     """Logits [B, Lt, V] for tgt_in_ids: the whole target prefix, or with a cache only the tokens
     after its `length` decoded ones (enc_out and src_pad_mask are read on its first call only)."""
-    cache = DecoderCache() if cache is None else cache
-    x = _decoder_states(model, enc_out, src_pad_mask, tgt_in_ids, tgt_pad_mask, train, rng, cache)
+    x = _decoder_states(model, enc_out, src_pad_mask, tgt_in_ids, train, rng,
+                        cache or DecoderCache())
     return T.matmul(x, model.params["out.w"], model.params["out.b"])
 
 
@@ -334,10 +324,9 @@ def forward(model: Model, batch: Batch, train_mode: bool = False, rng=None, *,
     if train_mode and model.config.dropout_rate > 0.0 and rng is None:
         raise ValueError("train_mode with dropout needs an rng")
     enc_out = encode_source(model, batch.source_ids, batch.source_pad_mask, train_mode, rng)
-    args = (model, enc_out, batch.source_pad_mask, batch.target_in_ids, batch.target_pad_mask,
-            train_mode, rng)
+    args = (model, enc_out, batch.source_pad_mask, batch.target_in_ids)
     if ignore_id is None:
-        return decoder_logits(*args)
+        return decoder_logits(*args, train=train_mode, rng=rng)
     p = model.params
-    return T.cross_entropy(_decoder_states(*args, DecoderCache()), batch.target_out_ids,
-                           ignore_id, p["out.w"], p["out.b"])
+    return T.cross_entropy(_decoder_states(*args, train_mode, rng, DecoderCache()),
+                           batch.target_out_ids, ignore_id, p["out.w"], p["out.b"])

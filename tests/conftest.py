@@ -67,7 +67,7 @@ def random_batch(vocab_size: int, seed: int, b=2, ls=6, lt=5) -> C.Batch:
     tin = rng.integers(4, vocab_size, size=(b, lt))
     tin[:, 0] = 1
     tout = np.concatenate([tin[:, 1:], np.full((b, 1), 2)], axis=1)
-    return C.Batch(src, smask, tin, tout, np.ones_like(tin, dtype=bool))
+    return C.Batch(src, smask, tin, tout)
 
 
 @pytest.fixture

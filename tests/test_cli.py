@@ -3,6 +3,7 @@ import json
 import math
 import struct
 import tempfile
+import warnings
 from contextlib import contextmanager, redirect_stderr
 from dataclasses import fields
 from pathlib import Path
@@ -92,11 +93,16 @@ class TestTrain:
         assert "min_freq" in one_error_line(capsys)
         assert not out.exists()
 
-    def test_divergence_exits_1_naming_the_batch_that_overflowed(self, corpus_dir, tmp_path,
-                                                                capsys, monkeypatch):
-        """At an absurd learning rate the gradient norm overflows within a few steps;
-        training stops before that step's update and its last stderr line names the
-        epoch, the batch and the norm."""
+    # (--max-lr, --base-lr): the norm's sum of squares overflows to inf; a backward pass
+    # overflows to a nan norm; a forward pass overflows; the update itself overflows.
+    @pytest.mark.parametrize("max_lr, base_lr", [("1e9", "1e8"), ("1e30", "1e30"),
+                                                 ("1e100", "1e100"), ("1e200", "1e200")])
+    def test_divergence_exits_1_naming_the_batch_that_overflowed(
+            self, corpus_dir, tmp_path, capsys, monkeypatch, max_lr, base_lr):
+        """At an absurd learning rate training stops within a few steps, before an update
+        writes a non-finite value, and prints one stderr line: no numpy warning, the epoch
+        and the batch, and the gradient norm when that is what overflowed. The --out that
+        the run created is removed again."""
         trained, norms = [], []
         forward, clip_gradients = train.forward, train.clip_gradients
 
@@ -110,14 +116,30 @@ class TestTrain:
 
         monkeypatch.setattr(train, "forward", recording_forward)
         monkeypatch.setattr(train, "clip_gradients", recording_clip)
-        args = train_args(corpus_dir, tmp_path / "run", ["--max-lr", "1e9", "--base-lr", "1e8"])
-        assert main(args) == 1
-        assert all(map(math.isfinite, norms[:-1])) and not math.isfinite(norms[-1])
+        out = tmp_path / "run"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(train_args(corpus_dir, out, ["--max-lr", max_lr,
+                                                     "--base-lr", base_lr])) == 1
+        assert [str(w.message) for w in caught] == []
         per_epoch = len({id(b) for b in trained})
-        epoch, batch = divmod(len(norms) - 1, per_epoch)
-        assert capsys.readouterr().err.splitlines()[-1] == (
-            f"numeric failure: non-finite gradient norm {norms[-1]} at epoch {epoch + 1}, "
-            f"batch {batch}")
+        epoch, batch = divmod(len(trained) - 1, per_epoch)
+        where = f"at epoch {epoch + 1}, batch {batch}"
+        if len(norms) == len(trained):  # stopped at the norm check
+            assert all(map(math.isfinite, norms[:-1])) and not math.isfinite(norms[-1])
+            want = f"numeric failure: non-finite gradient norm {norms[-1]} {where}"
+        else:  # stopped in the forward pass
+            assert all(map(math.isfinite, norms))
+            want = f"numeric failure: non-finite loss {where}"
+        assert capsys.readouterr().err.splitlines() == [want]
+        assert not out.exists()
+
+    def test_divergence_keeps_an_out_that_existed(self, corpus_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.mkdir()
+        assert main(train_args(corpus_dir, out, ["--max-lr", "1e30", "--base-lr", "1e30"])) == 1
+        assert capsys.readouterr().err.startswith("numeric failure:")
+        assert out.is_dir() and not any(out.iterdir())
 
     def test_config_file_flags_override(self, corpus_dir, tmp_path):
         cfg = tmp_path / "run.cfg"

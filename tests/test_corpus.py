@@ -135,6 +135,18 @@ class TestMakeBatches:
         with pytest.raises(ValueError):
             C.make_batches(seqs(2), 0, 0, 80)
 
+    def test_rows_hold_their_tokens_then_only_pads(self):
+        """Causal attention hides pads by position, which holds only for right padding."""
+        pairs = [((1, 4, 5, 6, 2), (1, 7, 2)), ((1, 4, 2), (1, 7, 8, 9, 10, 2)),
+                 ((1, 6, 6, 2), (1, 8, 9, 2))]
+        (batch,) = C.make_batches(pairs, 3, pad_id=0, max_len=80)
+        for i, (src, tgt) in enumerate(pairs):
+            for ids, want in ((batch.source_ids, src), (batch.target_in_ids, tgt[:-1]),
+                              (batch.target_out_ids, tgt[1:])):
+                assert ids[i].tolist() == list(want) + [0] * (ids.shape[1] - len(want))
+            assert batch.source_pad_mask[i].tolist() == [
+                j < len(src) for j in range(batch.source_ids.shape[1])]
+
     @given(st.integers(1, 40), st.integers(1, 9),
            st.one_of(st.none(), st.integers(0, 1000)))
     @settings(max_examples=60, deadline=None)
@@ -145,7 +157,7 @@ class TestMakeBatches:
         for b in batches:
             for i in range(b.source_ids.shape[0]):
                 src = tuple(b.source_ids[i][b.source_pad_mask[i]])
-                tin = tuple(b.target_in_ids[i][b.target_pad_mask[i]])
+                tin = tuple(b.target_in_ids[i][b.target_in_ids[i] != 0])
                 rows.append((src, tin + (2,)))
         want = sorted((s, t) for s, t in pairs)
         assert sorted(rows) == want

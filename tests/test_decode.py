@@ -39,7 +39,7 @@ def full_step(model, vocab, source, max_len):
 
     def step(prefix):
         tgt = np.asarray([prefix])
-        return decoder_logits(model, enc_out, mask, tgt, np.ones_like(tgt, dtype=bool)).data[0, -1]
+        return decoder_logits(model, enc_out, mask, tgt).data[0, -1]
 
     return step
 
@@ -264,10 +264,9 @@ class TestDecoderCache:
                 rows, tgt = rows[pick], np.concatenate(
                     [tgt[pick], rng.integers(4, 30, size=(len(pick), 1))], axis=1)
             new = tgt[:, -1:]
-            got = decoder_logits(model, enc_out, src_mask, new, np.ones_like(new, dtype=bool),
-                                 cache=cache).data[:, 0]
-            want = decoder_logits(model, Tensor(enc_out.data[rows]), src_mask[rows], tgt,
-                                  np.ones_like(tgt, dtype=bool)).data[:, -1]
+            got = decoder_logits(model, enc_out, src_mask, new, cache=cache).data[:, 0]
+            want = decoder_logits(model, Tensor(enc_out.data[rows]), src_mask[rows],
+                                  tgt).data[:, -1]
             assert cache.length == tgt.shape[1]
             assert np.abs(got - want).max() < 1e-10
 
@@ -286,14 +285,46 @@ class TestDecoderCache:
             want = np.stack([full(list(p)) for p in prefixes])
             assert np.abs(got - want).max() < 1e-10
             if previous:
+                rows = range(len(prefixes)) if rows is None else rows
                 assert [tuple(p[:-1]) for p in prefixes] == [previous[r] for r in rows]
-                reorders.append(rows != list(range(len(rows))))
+                reorders.append(list(rows) != list(range(len(rows))))
             previous[:] = [tuple(p) for p in prefixes]
             return got
 
         ids = beam_ids(checked, vocab.bos_id, vocab.eos_id, cap, beam_width=4)
         assert ids == beam_ids(batched(full), vocab.bos_id, vocab.eos_id, cap, beam_width=4)
         assert len(reorders) > 2 and any(reorders)
+
+
+class TestGreedyCacheGather:
+    def count_selects(self, monkeypatch, never_eos):
+        pairs = make_toy_pairs(16, seed=0)
+        vocab = toy_vocab(pairs)
+        model = init_model(toy_model_config(vocab.size, max_len=12), 0)
+        if never_eos:
+            model.params["out.b"].data[vocab.eos_id] = -1e6
+        calls = []
+        select = DecoderCache.select
+
+        def counting(cache, rows):
+            calls.append(len(rows))
+            return select(cache, rows)
+
+        monkeypatch.setattr(DecoderCache, "select", counting)
+        cfg = DecodeConfig(max_len=12)
+        sources = [s for s, _ in pairs]
+        out = greedy_decode_batch(model, vocab, sources, cfg)
+        monkeypatch.setattr(DecoderCache, "select", select)
+        assert out == [simplify(model, vocab, s, cfg) for s in sources]
+        return calls
+
+    def test_no_gather_while_every_row_continues(self, monkeypatch):
+        assert self.count_selects(monkeypatch, never_eos=True) == []
+
+    def test_gather_only_when_rows_finish(self, monkeypatch):
+        """On this model some rows stop at eos before the cap: each gather drops rows."""
+        calls = self.count_selects(monkeypatch, never_eos=False)
+        assert calls and all(a > b for a, b in zip([16] + calls, calls))
 
 
 def test_decoding_records_no_tape(monkeypatch):

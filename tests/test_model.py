@@ -5,6 +5,7 @@ import pytest
 
 from sentsimp import tensor as T
 from sentsimp.cli import build_parser
+from sentsimp.corpus import make_batches
 from sentsimp.model import (BIDIRECTIONAL, CAUSAL, GPT2_VOCAB, INIT_STD, Model, ModelConfig,
                             VARIANTS, attention, forward, init_model, param_shapes, param_views,
                             variant_config)
@@ -274,6 +275,38 @@ class TestMaskingSemantics:
         batch.source_ids[0, -1] = 9
         again = forward(model, batch).data
         assert np.array_equal(base[0], again[0])
+
+    # (wiring, side whose pads get real ids): causal attention hides the target's pads in
+    # both wirings and the source's in `gpt2`; `bert` masks its source pads explicitly.
+    @pytest.mark.parametrize("variant, side", [("bert", "target"), ("gpt2", "target"),
+                                               ("gpt2", "source")])
+    def test_ids_under_right_padding_change_nothing(self, variant, side):
+        """Real ids written under a padded batch's pads leave the training loss, its
+        gradients and every real position's logits as they were, to the byte."""
+        rng = np.random.default_rng(11)
+
+        def seq(n):
+            return (1, *rng.integers(4, 32, size=n).tolist(), 2)
+
+        pairs = [(seq(int(rng.integers(1, 8))), seq(int(rng.integers(1, 8)))) for _ in range(6)]
+        (batch,) = make_batches(pairs, len(pairs), pad_id=0, max_len=16)
+        ids = batch.target_in_ids if side == "target" else batch.source_ids
+        pads, real = ids == 0, batch.target_in_ids != 0
+        assert pads.any(axis=1).sum() > 1 and not pads.all(axis=1).any()
+
+        def run():
+            model = init_model(variant_config(variant, "toy", 32), 0)
+            loss = forward(model, batch, train_mode=True, ignore_id=0)
+            T.backward(loss)
+            logits = forward(model, batch).data[real]
+            return loss.data.tobytes(), logits.tobytes(), [p.grad for p in model.parameters()]
+
+        loss, logits, grads = run()
+        ids[pads] = rng.integers(4, 32, size=int(pads.sum()))
+        again_loss, again_logits, again_grads = run()
+        assert again_loss == loss
+        assert again_logits == logits
+        assert all(np.array_equal(a, b) for a, b in zip(again_grads, grads))
 
     def test_variants_differ_only_through_encoder_mask(self):
         batch = random_batch(32, seed=8)
