@@ -11,8 +11,11 @@ Both trees run the same toy flow, each with its own `src/` and
 `scripts/make_toy_corpus.py`: the corpus of `make_toy_corpus.py --seed 3`,
 then for each of the four variant names `sentsimp train` (4 epochs,
 seed 5, `--max-lr 3e-3`) and `sentsimp simplify` of the test sources,
-greedy and beam-4. The two trees run at the same time, each with one BLAS
-thread.
+greedy and beam-4. The toy preset's dropout rate is 0, so one more run,
+through the library API, trains `bert` at dropout rate 0.1 (3 epochs,
+seed 5, `max_lr` 3e-3) into `bert_dropout/`: the only run that draws
+dropout masks. A revision whose API lacks a name it uses fails with exit 2.
+The two trees run at the same time, each with one BLAS thread.
 
 For each artifact it prints `same`, or the offset of the first byte that
 differs. It exits 0 when every artifact is the same, 1 on any difference,
@@ -31,13 +34,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 VARIANTS = ("bert", "bert+gpt2", "gpt2", "gpt2+bert")
 ARTIFACTS = ("checkpoint.bin", "history.tsv", "greedy.txt", "beam.txt")
+# Directory under out/ -> the artifacts to compare there.
+RUNS = {**{v.replace("+", "_"): ARTIFACTS for v in VARIANTS},
+        "bert_dropout": ("checkpoint.bin", "history.tsv")}
 
 # Run in each tree with its own src/ on the path; argv: the tree, the work directory and
 # the variant names.
 FLOW = """
-import subprocess, sys
+import dataclasses, subprocess, sys
 from pathlib import Path
+from sentsimp import corpus as C, tokenizer as tok
 from sentsimp.cli import main
+from sentsimp.model import init_model, variant_config
+from sentsimp.train import TrainConfig, history_tsv, save_checkpoint, train_loop
 
 tree, work = Path(sys.argv[1]), Path(sys.argv[2])
 corpus, out = work / "corpus", work / "out"
@@ -56,6 +65,21 @@ for variant in sys.argv[3:]:
                              "--strategy", strategy, "--beam-width", "4"])
     if code:
         sys.exit(f"{variant}: exit {code}")
+
+examples = C.load_parallel(corpus / "train.src", corpus / "train.tgt")
+valid = C.load_eval(*C.find_eval_files(corpus / "valid"))
+vocab = tok.build_vocab([e.source for e in examples] + [e.target for e in examples], 2000)
+config = dataclasses.replace(variant_config("bert", "toy", vocab.size), dropout_rate=0.1)
+cfg = TrainConfig(max_lr=3e-3, epochs=3, seed=5)
+pairs = [(tok.encode(vocab, e.source, config.max_len).ids,
+          tok.encode(vocab, e.target, config.max_len).ids) for e in examples]
+batches = C.make_batches(pairs, cfg.batch_size, vocab.pad_id, config.max_len,
+                         shuffle_seed=cfg.seed)
+ckpt, history = train_loop(init_model(config, cfg.seed), batches, valid, cfg, vocab)
+run = out / "bert_dropout"
+run.mkdir()
+save_checkpoint(ckpt, run / "checkpoint.bin")
+(run / "history.tsv").write_text(history_tsv(history))
 """
 
 
@@ -108,9 +132,9 @@ def run(parent: str, change: str | None, tmp: Path) -> int:
         git("worktree", "prune")
 
     differs = False
-    for variant in VARIANTS:
-        for artifact in ARTIFACTS:
-            name = f"{variant.replace('+', '_')}/{artifact}"
+    for run_dir, artifacts in RUNS.items():
+        for artifact in artifacts:
+            name = f"{run_dir}/{artifact}"
             a, b = ((tmp / side / "out" / name).read_bytes() for side in ("parent", "change"))
             at = first_difference(a, b)
             differs |= at is not None

@@ -19,7 +19,9 @@ Training runs the decoder's layer loop over the whole target prefix and
 hands its last hidden state, with the output projection's weight and bias,
 to the vocabulary-chunked `cross_entropy`, so it never builds [B, Lt, V]
 logits. Decoding runs the same loop incrementally, feeding only new tokens
-with a cache, and projects them with `decoder_logits`.
+with a cache, and projects them with `decoder_logits`. Dropout runs exactly in a
+pass given an `rng`: `train_loop` passes its seeded one, and decoding and
+evaluation pass none.
 """
 
 from __future__ import annotations
@@ -256,37 +258,36 @@ def _ffn(model: Model, prefix: str, x: Tensor) -> Tensor:
     return T.matmul(hidden, p[f"{prefix}.w2"], p[f"{prefix}.b2"])
 
 
-def _sublayer(model: Model, ln_prefix: str, x: Tensor, out: Tensor,
-              train: bool, rng) -> Tensor:
+def _sublayer(model: Model, ln_prefix: str, x: Tensor, out: Tensor, rng) -> Tensor:
     p = model.params
-    out = T.dropout(out, model.config.dropout_rate, rng, train)
+    out = T.dropout(out, model.config.dropout_rate, rng)
     return T.layer_norm(x, p[f"{ln_prefix}.gain"], p[f"{ln_prefix}.bias"], residual=out)
 
 
-def _embed(model: Model, side: str, ids: np.ndarray, train: bool, rng, start: int = 0) -> Tensor:
+def _embed(model: Model, side: str, ids: np.ndarray, rng, start: int = 0) -> Tensor:
     p = model.params
     tok = T.embedding(p[f"{side}.tok_emb"], ids)
     pos = T.embedding(p[f"{side}.pos_emb"], np.arange(start, start + ids.shape[1]))
-    return T.dropout(T.add(tok, pos), model.config.dropout_rate, rng, train)
+    return T.dropout(T.add(tok, pos), model.config.dropout_rate, rng)
 
 
-def encode_source(model: Model, src_ids: np.ndarray, src_pad_mask: np.ndarray,
-                  train: bool = False, rng=None) -> Tensor:
+def encode_source(model: Model, src_ids: np.ndarray, src_pad_mask: np.ndarray, *,
+                  rng=None) -> Tensor:
     cfg = model.config
     if src_ids.shape[1] > cfg.max_len:
         raise ValueError(f"source length {src_ids.shape[1]} exceeds max_len {cfg.max_len}")
-    x = _embed(model, "enc", src_ids, train, rng)
+    x = _embed(model, "enc", src_ids, rng)
     mask = (np.tri(src_ids.shape[1], dtype=bool) if cfg.encoder_masking == CAUSAL
             else src_pad_mask[:, None, None, :])
     for i in range(cfg.n_layers):
         attn = _mha(model, f"enc.{i}.attn", x, _kv(model, f"enc.{i}.attn", x), mask)
-        x = _sublayer(model, f"enc.{i}.ln1", x, attn, train, rng)
-        x = _sublayer(model, f"enc.{i}.ln2", x, _ffn(model, f"enc.{i}.ff", x), train, rng)
+        x = _sublayer(model, f"enc.{i}.ln1", x, attn, rng)
+        x = _sublayer(model, f"enc.{i}.ln2", x, _ffn(model, f"enc.{i}.ff", x), rng)
     return x
 
 
 def _decoder_states(model: Model, enc_out: Tensor, src_pad_mask: np.ndarray,
-                    tgt_in_ids: np.ndarray, train: bool, rng, cache: DecoderCache) -> Tensor:
+                    tgt_in_ids: np.ndarray, rng, cache: DecoderCache) -> Tensor:
     """The last decoder layer's output [B, Lt, d], the layer loop of `decoder_logits`."""
     cfg = model.config
     start, new = cache.length, tgt_in_ids.shape[1]
@@ -296,37 +297,33 @@ def _decoder_states(model: Model, enc_out: Tensor, src_pad_mask: np.ndarray,
         cache.cross_mask = src_pad_mask[:, None, None, :]
         cache.kv = {f"dec.{i}.cross": _kv(model, f"dec.{i}.cross", enc_out) for i in range(cfg.n_layers)}
     self_mask = np.tri(new, start + new, start, dtype=bool)  # row i: keys 0 .. start + i
-    x = _embed(model, "dec", tgt_in_ids, train, rng, start)
+    x = _embed(model, "dec", tgt_in_ids, rng, start)
     for i in range(cfg.n_layers):
         self_kv = cache.append(f"dec.{i}.self", *_kv(model, f"dec.{i}.self", x))
-        x = _sublayer(model, f"dec.{i}.ln1", x, _mha(model, f"dec.{i}.self", x, self_kv, self_mask), train, rng)
+        x = _sublayer(model, f"dec.{i}.ln1", x, _mha(model, f"dec.{i}.self", x, self_kv, self_mask), rng)
         cross = _mha(model, f"dec.{i}.cross", x, cache.kv[f"dec.{i}.cross"], cache.cross_mask)
-        x = _sublayer(model, f"dec.{i}.ln2", x, cross, train, rng)
-        x = _sublayer(model, f"dec.{i}.ln3", x, _ffn(model, f"dec.{i}.ff", x), train, rng)
+        x = _sublayer(model, f"dec.{i}.ln2", x, cross, rng)
+        x = _sublayer(model, f"dec.{i}.ln3", x, _ffn(model, f"dec.{i}.ff", x), rng)
     cache.length += new
     return x
 
 
 def decoder_logits(model: Model, enc_out: Tensor, src_pad_mask: np.ndarray, tgt_in_ids: np.ndarray,
-                   *, train: bool = False, rng=None, cache: DecoderCache | None = None) -> Tensor:
+                   *, rng=None, cache: DecoderCache | None = None) -> Tensor:
     """Logits [B, Lt, V] for tgt_in_ids: the whole target prefix, or with a cache only the tokens
     after its `length` decoded ones (enc_out and src_pad_mask are read on its first call only)."""
-    x = _decoder_states(model, enc_out, src_pad_mask, tgt_in_ids, train, rng,
-                        cache or DecoderCache())
+    x = _decoder_states(model, enc_out, src_pad_mask, tgt_in_ids, rng, cache or DecoderCache())
     return T.matmul(x, model.params["out.w"], model.params["out.b"])
 
 
-def forward(model: Model, batch: Batch, train_mode: bool = False, rng=None, *,
-            ignore_id: int | None = None) -> Tensor:
+def forward(model: Model, batch: Batch, *, rng=None, ignore_id: int | None = None) -> Tensor:
     """Logits [B, Lt, V] for a teacher-forced batch; with `ignore_id`, instead the mean
     cross entropy against `batch.target_out_ids` (positions holding ignore_id left out),
     projected and reduced a vocabulary chunk at a time so no [B, Lt, V] array is built."""
-    if train_mode and model.config.dropout_rate > 0.0 and rng is None:
-        raise ValueError("train_mode with dropout needs an rng")
-    enc_out = encode_source(model, batch.source_ids, batch.source_pad_mask, train_mode, rng)
+    enc_out = encode_source(model, batch.source_ids, batch.source_pad_mask, rng=rng)
     args = (model, enc_out, batch.source_pad_mask, batch.target_in_ids)
     if ignore_id is None:
-        return decoder_logits(*args, train=train_mode, rng=rng)
+        return decoder_logits(*args, rng=rng)
     p = model.params
-    return T.cross_entropy(_decoder_states(*args, train_mode, rng, DecoderCache()),
+    return T.cross_entropy(_decoder_states(*args, rng, DecoderCache()),
                            batch.target_out_ids, ignore_id, p["out.w"], p["out.b"])

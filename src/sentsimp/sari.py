@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .tokenizer import tokenize
 
 ORDERS = (1, 2, 3, 4)
+MAX_BINS = 10_000
 
 
 @dataclass(frozen=True)
@@ -114,9 +115,10 @@ def sari_corpus(items) -> tuple[SariReport, list[float]]:
 
 
 def score_histogram(scores: list[float], num_bins: int) -> list[tuple[float, int]]:
-    """Equal-width bins over [0, 100]; 100 falls in the last bin."""
-    if num_bins < 1:
-        raise ValueError("num_bins must be >= 1")
+    """Equal-width bins over [0, 100]; 100 falls in the last bin. At most MAX_BINS, a
+    width of 0.01, the finest the report's two decimals print."""
+    if not 1 <= num_bins <= MAX_BINS:
+        raise ValueError(f"num_bins must lie in [1, {MAX_BINS}], got {num_bins}")
     width = 100.0 / num_bins
     counts = [0] * num_bins
     for s in scores:

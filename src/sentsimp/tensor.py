@@ -245,8 +245,9 @@ def gelu(x: Tensor) -> Tensor:
     return _result(out, (x,), bw)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator, train: bool) -> Tensor:
-    if not train or rate == 0.0:
+def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout at `rate`; x itself when there is no rng, outside training."""
+    if rng is None or rate == 0.0:
         return x
     keep = (rng.random(x.shape) >= rate).astype(np.float64) / (1.0 - rate)
     out = x.data * keep

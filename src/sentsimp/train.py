@@ -301,7 +301,7 @@ def train_loop(model: Model, train_batches: list[Batch], valid: list[EvalExample
         losses = []
         for bi, batch in enumerate(train_batches):
             try:
-                loss = forward(model, batch, train_mode=True, rng=rng, ignore_id=vocab.pad_id)
+                loss = forward(model, batch, rng=rng, ignore_id=vocab.pad_id)
             except NonFiniteError as exc:
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch {bi}"
@@ -317,6 +317,8 @@ def train_loop(model: Model, train_batches: list[Batch], valid: list[EvalExample
             lr = onecycle_lr(step, total_steps, cfg)
             adamw_step(model, state, lr, cfg, factor)
             T.zero_grad(model.parameters())  # no gradient lives through validation
+            if not np.isfinite(model.payload).all():  # a finite norm's update can overflow
+                raise TrainingDivergedError(f"non-finite update at epoch {epoch}, batch {bi}")
             step += 1
 
         valid_sari = score_fn(model)

@@ -15,8 +15,8 @@ def worktrees() -> str:
 
 
 def test_head_against_the_working_tree():
-    """The toy flow of all four variant names gives the same bytes in a worktree of HEAD
-    and in this checkout, and the worktree is gone afterwards."""
+    """The toy flow of all four variant names, and the dropout run, gives the same bytes
+    in a worktree of HEAD and in this checkout, and the worktree is gone afterwards."""
     before = worktrees()
     done = subprocess.run([sys.executable, str(SCRIPT), "HEAD"], capture_output=True,
                           text=True, timeout=120)
@@ -25,7 +25,8 @@ def test_head_against_the_working_tree():
     assert [row[0] for row in rows] == [f"{v}/{a}" for v in ("bert", "bert_gpt2", "gpt2",
                                                              "gpt2_bert")
                                         for a in ("checkpoint.bin", "history.tsv",
-                                                  "greedy.txt", "beam.txt")]
+                                                  "greedy.txt", "beam.txt")] + [
+        "bert_dropout/checkpoint.bin", "bert_dropout/history.tsv"]
     assert all(row[1:] == ["same"] for row in rows)
     assert worktrees() == before
 

@@ -8,6 +8,7 @@ from contextlib import contextmanager, redirect_stderr
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -94,20 +95,25 @@ class TestTrain:
         assert not out.exists()
 
     # (--max-lr, --base-lr): the norm's sum of squares overflows to inf; a backward pass
-    # overflows to a nan norm; a forward pass overflows; the update itself overflows.
+    # overflows to a nan norm; a forward pass overflows; the update itself overflows from
+    # a finite gradient norm. STOPS names the check that ends each run.
+    STOPS = {"1e9": "norm", "1e30": "norm", "1e100": "loss", "1e200": "update"}
+
     @pytest.mark.parametrize("max_lr, base_lr", [("1e9", "1e8"), ("1e30", "1e30"),
                                                  ("1e100", "1e100"), ("1e200", "1e200")])
     def test_divergence_exits_1_naming_the_batch_that_overflowed(
             self, corpus_dir, tmp_path, capsys, monkeypatch, max_lr, base_lr):
-        """At an absurd learning rate training stops within a few steps, before an update
-        writes a non-finite value, and prints one stderr line: no numpy warning, the epoch
-        and the batch, and the gradient norm when that is what overflowed. The --out that
-        the run created is removed again."""
-        trained, norms = [], []
+        """At an absurd learning rate training stops at the first batch whose gradient
+        norm, update or forward pass is not finite, and prints one stderr line: no numpy
+        warning, that epoch and batch, and the gradient norm when that is what overflowed.
+        Every earlier batch left a finite payload. The --out that the run created is
+        removed again."""
+        trained, norms, finite = [], [], []
         forward, clip_gradients = train.forward, train.clip_gradients
 
         def recording_forward(model, batch, **kwargs):
             trained.append(batch)
+            finite.append(bool(np.isfinite(model.payload).all()))
             return forward(model, batch, **kwargs)
 
         def recording_clip(model):
@@ -122,16 +128,17 @@ class TestTrain:
             assert main(train_args(corpus_dir, out, ["--max-lr", max_lr,
                                                      "--base-lr", base_lr])) == 1
         assert [str(w.message) for w in caught] == []
+        assert all(finite)
+        stop = self.STOPS[max_lr]
         per_epoch = len({id(b) for b in trained})
         epoch, batch = divmod(len(trained) - 1, per_epoch)
         where = f"at epoch {epoch + 1}, batch {batch}"
-        if len(norms) == len(trained):  # stopped at the norm check
-            assert all(map(math.isfinite, norms[:-1])) and not math.isfinite(norms[-1])
-            want = f"numeric failure: non-finite gradient norm {norms[-1]} {where}"
-        else:  # stopped in the forward pass
-            assert all(map(math.isfinite, norms))
-            want = f"numeric failure: non-finite loss {where}"
-        assert capsys.readouterr().err.splitlines() == [want]
+        assert len(norms) == len(trained) - (stop == "loss")
+        assert all(map(math.isfinite, norms[:-1]))
+        assert math.isfinite(norms[-1]) == (stop != "norm")
+        want = {"norm": f"non-finite gradient norm {norms[-1]} {where}",
+                "loss": f"non-finite loss {where}", "update": f"non-finite update {where}"}
+        assert capsys.readouterr().err.splitlines() == [f"numeric failure: {want[stop]}"]
         assert not out.exists()
 
     def test_divergence_keeps_an_out_that_existed(self, corpus_dir, tmp_path, capsys):
@@ -423,12 +430,15 @@ class TestEval:
                      "--eval-stem", str(corpus_dir / "test"),
                      "--out", str(tmp_path / "out")]) == 2
 
-    def test_bad_bins_exits_2_before_writing(self, corpus_dir, tmp_path):
+    def test_bad_bins_exits_2_before_writing(self, corpus_dir, tmp_path, capsys):
+        """10**9 bins would build an 8 GB list; it is rejected before any is built."""
         out = tmp_path / "out"
-        assert main(["eval", "--system", str(corpus_dir / "test.ref.0"),
-                     "--eval-stem", str(corpus_dir / "test"),
-                     "--out", str(out), "--bins", "0"]) == 2
-        assert not out.exists() or not any(out.iterdir())
+        for bins in ("0", "10001", str(10**9)):
+            assert main(["eval", "--system", str(corpus_dir / "test.ref.0"),
+                         "--eval-stem", str(corpus_dir / "test"),
+                         "--out", str(out), "--bins", bins]) == 2
+            assert "num_bins must lie in [1, 10000]" in one_error_line(capsys)
+            assert not out.exists() or not any(out.iterdir())
 
 
 class TestReport:

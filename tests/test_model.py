@@ -7,12 +7,13 @@ from sentsimp import tensor as T
 from sentsimp.cli import build_parser
 from sentsimp.corpus import make_batches
 from sentsimp.model import (BIDIRECTIONAL, CAUSAL, GPT2_VOCAB, INIT_STD, Model, ModelConfig,
-                            VARIANTS, attention, forward, init_model, param_shapes, param_views,
-                            variant_config)
+                            VARIANTS, attention, encode_source, forward, init_model, param_shapes,
+                            param_views, variant_config)
 from sentsimp.tensor import Tensor
 from sentsimp.train import TrainConfig, adamw_step, init_opt_state
 
 from conftest import random_batch, toy_model_config
+from gradcheck import grad_check_params
 
 
 def expected_param_count(config: ModelConfig) -> int:
@@ -248,10 +249,50 @@ class TestForward:
             runs.append([loss.data.tobytes()] + [p.grad.tobytes() for p in model.parameters()])
         assert runs[0] == runs[1]
 
+    def test_rng_is_keyword_only(self):
+        model = init_model(toy_model_config(32), 0)
+        batch = random_batch(32, seed=0)
+        with pytest.raises(TypeError):
+            forward(model, batch, True)
+        with pytest.raises(TypeError):
+            encode_source(model, batch.source_ids, batch.source_pad_mask, True)
+
+
+class TestDropout:
+    @staticmethod
+    def pass_bytes(rate, rng):
+        """The loss, its gradients and the logits of one pass at `rate`."""
+        model = init_model(replace(toy_model_config(32), dropout_rate=rate), 0)
+        batch = random_batch(32, seed=1, b=3)
+        loss = forward(model, batch, rng=rng, ignore_id=0)
+        T.backward(loss)
+        logits = forward(model, batch, rng=rng).data
+        return [loss.data.tobytes(), logits.tobytes()] + [p.grad.tobytes()
+                                                          for p in model.parameters()]
+
+    def test_no_rng_gives_the_bytes_of_rate_zero(self):
+        assert self.pass_bytes(0.1, None) == self.pass_bytes(0.0, None)
+
+    def test_a_pass_given_an_rng_drops_units(self):
+        runs = [self.pass_bytes(0.1, np.random.default_rng(seed)) for seed in (0, 0, 1)]
+        assert runs[0] == runs[1]
+        assert runs[0][0] != runs[2][0] and runs[0][0] != self.pass_bytes(0.1, None)[0]
+
+    def test_gradient_through_dropout(self):
+        """Each evaluation draws its masks from a fresh rng of one seed, so every
+        finite difference sees the same masks as the analytic gradient."""
+        model = init_model(replace(toy_model_config(32), dropout_rate=0.2), 0)
+        batch = random_batch(32, seed=0, b=2)
+
+        def loss():
+            return forward(model, batch, rng=np.random.default_rng(7), ignore_id=0)
+
+        err = grad_check_params(loss, model.parameters(), h=1e-3, max_evals=300, seed=0)
+        assert err < 1e-4
+
 
 class TestMaskingSemantics:
     def test_causal_encoder_invariant_to_future(self):
-        from sentsimp.model import encode_source
         model = init_model(toy_model_config(32, masking="causal"), 5)
         rng = np.random.default_rng(0)
         for _ in range(10):
@@ -296,7 +337,7 @@ class TestMaskingSemantics:
 
         def run():
             model = init_model(variant_config(variant, "toy", 32), 0)
-            loss = forward(model, batch, train_mode=True, ignore_id=0)
+            loss = forward(model, batch, rng=np.random.default_rng(0), ignore_id=0)
             T.backward(loss)
             logits = forward(model, batch).data[real]
             return loss.data.tobytes(), logits.tobytes(), [p.grad for p in model.parameters()]
@@ -341,5 +382,5 @@ def test_train_step_tape_op_count(monkeypatch):
         return result(data, parents, backward_fn)
 
     monkeypatch.setattr(T, "_result", counted)
-    forward(model, batch, train_mode=True, ignore_id=0)
+    forward(model, batch, rng=np.random.default_rng(0), ignore_id=0)
     assert len(calls) <= 131

@@ -201,6 +201,22 @@ class TestGelu:
         assert T.gelu(tensor([1.0])).data[0] == pytest.approx(0.84119, abs=1e-4)
 
 
+class TestDropout:
+    def test_no_rng_or_zero_rate_returns_the_input(self):
+        x = tensor(np.ones((3, 4)), rg=True)
+        assert T.dropout(x, 0.5, None) is x
+        assert T.dropout(x, 0.0, np.random.default_rng(0)) is x
+
+    def test_keeps_scaled_entries_and_gradients(self):
+        x = tensor(np.arange(1.0, 201.0).reshape(10, 20), rg=True)
+        y = T.dropout(x, 0.25, np.random.default_rng(3))
+        kept = y.data != 0.0
+        assert 0 < kept.sum() < x.data.size
+        assert np.array_equal(y.data[kept], x.data[kept] * (1.0 / 0.75))
+        backward(tensor_sum(y))
+        assert np.array_equal(x.grad, np.where(kept, 1.0 / 0.75, 0.0))
+
+
 class TestCrossEntropy:
     def test_uniform_logits(self):
         logits = tensor(np.zeros((1, 1, 4)))

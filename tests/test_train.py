@@ -9,7 +9,7 @@ import sys
 import tempfile
 import textwrap
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -376,6 +376,22 @@ class TestTrainLoop:
             _, history = train_loop(model, batches, valid, cfg, vocab)
             histories.append(history_tsv(history))
         assert histories[0] == histories[1]
+
+    @pytest.mark.parametrize("masking", ["bidirectional", "causal"])
+    def test_dropout_follows_the_seed(self, masking):
+        """At dropout 0.1 one seed gives one payload and history; another seed, or rate
+        0, gives another payload."""
+        def run(rate, seed):
+            model, batches, valid, vocab = tiny_setup(4)
+            config = replace(model.config, encoder_masking=masking, dropout_rate=rate)
+            model = Model(config, model.payload)
+            cfg = TrainConfig(epochs=3, patience=None, seed=seed)
+            _, history = train_loop(model, batches, valid, cfg, vocab, score_fn=lambda m: 0.0)
+            return model.payload.tobytes(), history
+
+        payload, history = run(0.1, 0)
+        assert run(0.1, 0) == (payload, history)
+        assert run(0.1, 1)[0] != payload and run(0.0, 0)[0] != payload
 
     def test_non_finite_gradient_norm_stops_before_the_update(self):
         model, batches, valid, vocab = tiny_setup()
