@@ -41,12 +41,14 @@ class DecodeConfig:
 
 
 def _cached_step(model: Model, vocab: Vocabulary, sources: list[str], cfg: DecodeConfig):
-    """Encode the sources as one padded batch; return the step over them and the length
-    cap, which never exceeds the model's positions. After the first call, each prefix
-    extends by one token the prefix of row rows[i] (row i if rows is None) of the last call."""
+    """Encode the sources, each cut to the model's positions, as one padded batch; return
+    the step over them and the output length cap, which never exceeds the model's
+    positions. After the first call, each prefix extends by one token the prefix of row
+    rows[i] (row i if rows is None) of the last call."""
     cap = min(cfg.max_len, model.config.max_len)
     model = Model(model.config, model.payload, requires_grad=False)
-    src_ids, src_mask = pad_block([encode(vocab, s, cap).ids for s in sources], vocab.pad_id)
+    src_ids, src_mask = pad_block([encode(vocab, s, model.config.max_len).ids for s in sources],
+                                  vocab.pad_id)
     enc_out = encode_source(model, src_ids, src_mask)
     cache = DecoderCache()
 

@@ -1,11 +1,10 @@
 """Teacher-forced training: AdamW, one-cycle LR, early stopping on SARI.
 
-Training updates the model's payload in place: the optimiser adopts it as
-its arena, with both Adam moments in two more buffers of its layout, and
-takes that layout from the config (see `OptState`). AdamW updates each
-parameter on its own views of the three buffers, a block at a time. The
-best-epoch snapshot is one copy of the payload, and that copy is the
-checkpoint's.
+Training updates the model's payload in place. The optimiser keeps both
+Adam moments in two buffers of the payload's layout, which it takes from
+the config (see `OptState`), and updates each parameter on its own views
+of the payload and both moments, a block at a time. The best-epoch
+snapshot is one copy of the payload, and that copy is the checkpoint's.
 
 The checkpoint file is the magic "SSCK", then a little-endian uint32
 version (2) and uint64 header length, then a UTF-8 JSON header
@@ -42,7 +41,6 @@ CHECKPOINT_VERSION = 2
 _PREFIX = struct.Struct("<4sIQ")  # magic, version, header length
 _PAYLOAD_ALIGN = 64  # bytes; the header's trailing spaces pad the payload to this
 _ADAMW_BLOCK = 1 << 15  # elements updated together, so a block's arrays stay in cache
-_TABLES = 4  # `param_shapes` leads with the four embedding tables, all d_model wide
 _HEADER = {"config": dict, "vocab": list, "history": dict, "params": dict}  # key -> JSON type
 
 
@@ -88,20 +86,17 @@ class TrainConfig:
 
 @dataclass
 class OptState:
-    """AdamW's state over one model: its payload as the `arena`, both Adam moments in
-    buffers of the same layout (`m_arena`, `v_arena`), and the step count `t`.
+    """AdamW's state over one model: both Adam moments in buffers of the payload's
+    layout (`m_arena`, `v_arena`), and the step count `t`.
 
     `slots` holds, per parameter in `param_shapes` order, its views of both moment
-    buffers, its rows of `live` (the embedding tables only, else None) and whether weight
-    decay applies to it (all but the layer norms, `.ln`). `param_shapes` leads with the
-    four embedding tables, all `d_model` wide, and `live` flags which of their rows, laid
-    end to end in that order, a gradient has reached at some step. A row outside it has
+    buffers, its live flags and whether weight decay applies to it (all but the layer
+    norms, `.ln`). An embedding table (`_emb`) has a flag per row, set once a gradient
+    has reached that row; every other parameter has None. A row whose flag is unset has
     had an all-zero gradient at every step, so its moments are +0.0 and the Adam step
     leaves it unchanged."""
-    arena: np.ndarray
     m_arena: np.ndarray
     v_arena: np.ndarray
-    live: np.ndarray
     slots: list[tuple[np.ndarray, np.ndarray, np.ndarray | None, bool]]
     t: int = 0
 
@@ -157,18 +152,14 @@ def onecycle_lr(step: int, total_steps: int, cfg: TrainConfig) -> float:
 
 
 def init_opt_state(model: Model) -> OptState:
-    """Adopt the model's payload as the arena, copying no parameter, and zero both
-    moments in its layout."""
+    """Zero both moments in the payload's layout, with no table row live."""
     shapes = param_shapes(model.config)
-    tables = {name: s[:1] for name, s in list(shapes.items())[:_TABLES]}
-    arena = model.payload
     # np.zeros leaves the pages of moment rows that never go live untouched.
-    m_arena, v_arena = np.zeros(arena.size), np.zeros(arena.size)
-    live = np.zeros(sum(s[0] for s in tables.values()), dtype=bool)
+    m_arena, v_arena = np.zeros(model.payload.size), np.zeros(model.payload.size)
     ms, vs = param_views(m_arena, shapes), param_views(v_arena, shapes)
-    lives = param_views(live, tables)
-    slots = [(ms[n], vs[n], lives.get(n), ".ln" not in n) for n in shapes]
-    return OptState(arena, m_arena, v_arena, live, slots)
+    slots = [(ms[n], vs[n], np.zeros(s[0], dtype=bool) if n.endswith("_emb") else None,
+              ".ln" not in n) for n, s in shapes.items()]
+    return OptState(m_arena, v_arena, slots)
 
 
 def _adam(p, g, m, v, lr: float, t: int, cfg: TrainConfig, factor: float,
@@ -209,7 +200,7 @@ def _adam(p, g, m, v, lr: float, t: int, cfg: TrainConfig, factor: float,
 def adamw_step(model: Model, state: OptState, lr: float, cfg: TrainConfig,
                factor: float = 1.0) -> None:
     """One decoupled-weight-decay Adam update of each parameter over its own slice of
-    the arena, on the gradients scaled by `factor` (the clip from `clip_gradients`; no
+    the payload, on the gradients scaled by `factor` (the clip from `clip_gradients`; no
     gradient array is written, since parameters can share one): the Adam step, then the
     decay of the updated value. Weight decay skips layer-norm gains and biases (never by
     a multiply by 0.0, which would turn a -0.0 parameter into +0.0).
@@ -287,7 +278,9 @@ def train_loop(model: Model, train_batches: list[Batch], valid: list[EvalExample
         score_fn = default_valid_scorer(vocab, valid)
 
     total_steps = schedule_steps(cfg, len(train_batches))
-    _declared_shapes(model.config, vocab.size)
+    if vocab.size != model.config.vocab_size:
+        raise ValueError(f"training vocabulary has {vocab.size} tokens, the model config's "
+                         f"vocab_size is {model.config.vocab_size}")
     rng = np.random.default_rng(cfg.seed)
     state = init_opt_state(model)
     history = TrainHistory()
@@ -326,7 +319,7 @@ def train_loop(model: Model, train_batches: list[Batch], valid: list[EvalExample
         if best is None or valid_sari > best_sari:
             best_sari = valid_sari
             history.best_epoch = epoch
-            best = state.arena.copy()
+            best = model.payload.copy()
         elif cfg.patience is not None and epoch - history.best_epoch >= cfg.patience:
             history.stopped_early = True
             break
@@ -366,8 +359,8 @@ def staged_write(path, mode: str = "w"):
 
 def _declared_shapes(config: ModelConfig, n_tokens: int, params: dict | None = None) -> dict:
     """`param_shapes(config)`, if the vocabulary has `config.vocab_size` tokens and `params`
-    (name -> shape tuple), when given, equals it in order; else CheckpointFormatError. Load,
-    save and `train_loop` (for the vocabulary) use it."""
+    (name -> shape tuple), when given, equals it in order; else CheckpointFormatError. Load
+    and save use it."""
     if n_tokens != config.vocab_size:
         raise CheckpointFormatError(f"checkpoint vocabulary has {n_tokens} tokens, "
                                     f"its config's vocab_size is {config.vocab_size}")

@@ -1,7 +1,10 @@
 import io
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import tempfile
 import warnings
 from contextlib import contextmanager, redirect_stderr
@@ -214,6 +217,23 @@ def test_help_is_unchanged(capsys):
         main(["train", "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: sentsimp train")
+
+
+@pytest.mark.parametrize("args, code", [(["--help"], 0), (["train", "--epochs", "x"], 2)],
+                         ids=["help", "bad_flag"])
+def test_module_entry_point(args, code):
+    """`python -m sentsimp` runs `main` and exits with its code; a bad flag ends in one
+    `error:` line on stderr."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-m", "sentsimp", *args], capture_output=True,
+                          text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == code, done.stderr
+    if code:
+        err = done.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+    else:
+        assert done.stdout.startswith("usage: sentsimp") and not done.stderr
 
 
 # id -> (subcommand and the flags after its required paths, --config file text or None)

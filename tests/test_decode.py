@@ -181,10 +181,10 @@ class TestTopK:
 
 
 class TestAgainstRandomModels:
-    def make(self, seed, vocab_words=6):
+    def make(self, seed, max_len=12):
         pairs = make_toy_pairs(4, seed=seed)
         vocab = toy_vocab(pairs)
-        model = init_model(toy_model_config(vocab.size, max_len=12), seed)
+        model = init_model(toy_model_config(vocab.size, max_len=max_len), seed)
         return model, vocab
 
     def test_beam_width_one_matches_greedy_on_random_models(self):
@@ -220,6 +220,17 @@ class TestAgainstRandomModels:
             assert len(out.split()) <= 80
             for special in ("<pad>", "<bos>", "<eos>"):
                 assert special not in out
+
+    def test_decode_cap_bounds_only_the_output(self):
+        """The source is encoded up to the model's positions whatever the decoding cap,
+        so greedy under a smaller cap is a prefix of greedy under the model's."""
+        source = "the obstreperous house chased the cat in the barn and park"  # 11 words
+        for seed in range(20):
+            model, vocab = self.make(seed, max_len=16)
+            full, *shorter = (greedy_ids(_cached_step(model, vocab, [source], DecodeConfig(cap))[0],
+                                         vocab.bos_id, vocab.eos_id, cap) for cap in (16, 5, 8, 12))
+            for short in shorter:
+                assert full[:len(short)] == short, (seed, len(short))
 
     def test_batched_greedy_matches_single(self):
         model, vocab = self.make(7)

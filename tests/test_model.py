@@ -135,16 +135,16 @@ class TestInitModel:
             n for n in model.params if ".ln" in n}
 
     def test_embeddings_are_exactly_the_token_and_position_tables(self):
-        """AdamW's live rows cover the four leading `param_shapes` entries, and those are
-        the token and position tables, each a row per id or position, d_model wide."""
+        """AdamW keeps live rows for the parameters named `_emb`, and those are the token
+        and position tables, each a row per id or position, d_model wide."""
         cfg = toy_model_config(16)
-        state = init_opt_state(init_model(cfg, 0))
-        tables = list(param_shapes(cfg).items())[:4]
-        assert {n for n, _ in tables} == {"enc.tok_emb", "enc.pos_emb", "dec.tok_emb",
-                                          "dec.pos_emb"}
-        assert {n for n in param_shapes(cfg) if n.endswith("_emb")} == {n for n, _ in tables}
-        assert all(s[1] == cfg.d_model for _, s in tables)
-        assert state.live.shape == (192,) and not state.live.any()
+        model = init_model(cfg, 0)
+        state = init_opt_state(model)
+        live = {n: f for n, (_, _, f, _) in zip(model.params, state.slots) if f is not None}
+        assert live.keys() == {"enc.tok_emb", "enc.pos_emb", "dec.tok_emb", "dec.pos_emb"}
+        assert {n for n in param_shapes(cfg) if n.endswith("_emb")} == live.keys()
+        assert all(param_shapes(cfg)[n] == (f.size, cfg.d_model) for n, f in live.items())
+        assert sum(f.size for f in live.values()) == 192 and not any(f.any() for f in live.values())
 
     @pytest.mark.parametrize("cfg", [
         toy_model_config(29),

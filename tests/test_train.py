@@ -78,6 +78,11 @@ def assert_laid_end_to_end(flat: np.ndarray, arrays) -> None:
     assert offset == flat.size
 
 
+def live_flags(model: Model, state) -> dict[str, np.ndarray]:
+    """Name -> AdamW's live flags, for each parameter that has them."""
+    return {n: live for n, (_, _, live, _) in zip(model.params, state.slots) if live is not None}
+
+
 def ckpt_params(ckpt: Checkpoint) -> dict[str, np.ndarray]:
     """Name -> a view of the checkpoint's payload for each parameter its config declares."""
     return param_views(ckpt.payload, param_shapes(ckpt.config))
@@ -147,16 +152,18 @@ class TestAdamW:
         model = init_model(toy_model_config(29), 0)
         before = model.payload.tobytes()
         state = init_opt_state(model)
-        assert state.arena is model.payload
         assert list(model.params) == list(param_shapes(model.config))
-        assert_laid_end_to_end(state.arena, [p.data for p in model.params.values()])
-        assert state.m_arena.shape == state.v_arena.shape == state.arena.shape
+        assert_laid_end_to_end(model.payload, [p.data for p in model.params.values()])
+        assert state.m_arena.shape == state.v_arena.shape == model.payload.shape
+        assert_laid_end_to_end(state.m_arena, [m for m, _, _, _ in state.slots])
+        assert_laid_end_to_end(state.v_arena, [v for _, v, _, _ in state.slots])
         assert not np.shares_memory(state.m_arena, state.v_arena)
         assert model.payload.tobytes() == before
         assert not state.m_arena.any() and not state.v_arena.any()
-        # The four embedding tables lead the header order, a live flag per row.
-        tables = list(param_shapes(model.config).values())[:4]
-        assert state.live.shape == (sum(s[0] for s in tables),) and not state.live.any()
+        # Each embedding table, found by name, has a live flag per row, none set.
+        live = live_flags(model, state)
+        assert live.keys() == {n for n in model.params if n.endswith("_emb")}
+        assert all(f.shape == model.params[n].shape[:1] and not f.any() for n, f in live.items())
 
     def test_step_allocates_blocks_not_parameters(self):
         """The update runs a block at a time inside each parameter, so one step at a
@@ -165,9 +172,9 @@ class TestAdamW:
         table, as a batch's would."""
         model = init_model(toy_model_config(5000), 0)
         rng = np.random.default_rng(0)
-        for i, p in enumerate(model.parameters()):
+        for name, p in model.params.items():
             p.grad = rng.normal(size=p.shape)
-            if i < 4:
+            if name.endswith("_emb"):
                 p.grad[rng.permutation(p.shape[0])[12:]] = 0.0
         state = init_opt_state(model)
         tracemalloc.start()
@@ -176,11 +183,35 @@ class TestAdamW:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert state.live.sum() == 4 * 12
+        assert sum(f.sum() for f in live_flags(model, state).values()) == 4 * 12
         assert peak < 0.25 * model.params["out.w"].data.nbytes
 
+    @pytest.mark.parametrize("masking", ["bidirectional", "causal"])
+    def test_live_rows_of_a_real_step_are_its_real_tokens(self, masking):
+        """After one training step each embedding table has exactly the rows of the ids
+        or positions of the batch's real tokens live: no pad reaches a gradient. The toy
+        pairs all have one length, so words are cut off to give the batch pads."""
+        pairs = [(" ".join(s.split()[:9 - i % 4]), " ".join(t.split()[:8 - i % 3]))
+                 for i, (s, t) in enumerate(make_toy_pairs(16, 0))]
+        vocab = toy_vocab(pairs)
+        model = init_model(toy_model_config(vocab.size, masking), 0)
+        batch = tokenized_batches(pairs, vocab, batch_size=8)[0]
+        T.backward(forward(model, batch, ignore_id=vocab.pad_id))
+        state = init_opt_state(model)
+        adamw_step(model, state, 1e-3, TrainConfig())
+        live = live_flags(model, state)
+        real = {"enc": (batch.source_ids, batch.source_pad_mask),
+                "dec": (batch.target_in_ids, batch.target_in_ids != vocab.pad_id)}
+        assert live.keys() == {f"{side}.{kind}_emb" for side in real for kind in ("tok", "pos")}
+        for side, (ids, mask) in real.items():
+            assert not mask.all()  # the batch holds pads on this side
+            assert np.array_equal(np.flatnonzero(live[f"{side}.tok_emb"]), np.unique(ids[mask]))
+            assert np.array_equal(np.flatnonzero(live[f"{side}.pos_emb"]),
+                                  np.unique(np.nonzero(mask)[1]))
+            assert not live[f"{side}.tok_emb"][vocab.pad_id]
+
     def test_blocked_update_matches_whole_array_recurrence(self):
-        """Updating the arena a segment and a block at a time, the embedding tables' live
+        """Updating each parameter a block at a time, the embedding tables' live
         rows only, gives exactly the bytes of the per-parameter whole-array formula on
         the clipped gradient. The token tables and out.w are larger than one block, and
         the layer norms sit between decayed parameters: ln2.bias's -0.0 entries, whose
@@ -224,12 +255,11 @@ class TestAdamW:
                 if ".ln" not in name:
                     p[name] = p[name] - lr * tc.weight_decay * p[name]
             adamw_step(model, state, lr, tc, factor)
-        got_m, got_v = param_views(state.m_arena, shapes), param_views(state.v_arena, shapes)
-        for name, param in model.params.items():
+        for (name, param), (got_m, got_v, _, _) in zip(model.params.items(), state.slots):
             assert param.data.tobytes() == p[name].tobytes()
-            assert got_m[name].tobytes() == m[name].tobytes()
-            assert got_v[name].tobytes() == v[name].tobytes()
-        live = param_views(state.live, {n: (s[0],) for n, s in list(shapes.items())[:4]})
+            assert got_m.tobytes() == m[name].tobytes()
+            assert got_v.tobytes() == v[name].tobytes()
+        live = live_flags(model, state)
         assert live.keys() == reached.keys()
         for name, flags in live.items():
             assert np.array_equal(np.flatnonzero(flags),
@@ -430,6 +460,18 @@ class TestTrainLoop:
             train_loop(model, batches[:1], valid, TrainConfig(epochs=1), vocab,
                        score_fn=lambda m: 0.0)
         assert calls == []
+
+    def test_vocabulary_that_does_not_fit_the_config_rejected_before_the_first_forward(
+            self, monkeypatch):
+        _, batches, valid, vocab = tiny_setup(4)
+        model = init_model(toy_model_config(vocab.size + 3), 0)
+        monkeypatch.setattr(sentsimp.train, "forward", lambda *a, **k: pytest.fail("forward ran"))
+        with pytest.raises(ValueError) as exc:
+            train_loop(model, batches, valid, TrainConfig(epochs=2), vocab,
+                       score_fn=lambda m: 0.0)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == (f"training vocabulary has {vocab.size} tokens, the model "
+                                  f"config's vocab_size is {vocab.size + 3}")
 
     def test_validation_sari_of_checkpoint_is_maximum(self):
         model, batches, valid, vocab = tiny_setup()
