@@ -14,8 +14,13 @@ seed 5, `--max-lr 3e-3`) and `sentsimp simplify` of the test sources,
 greedy and beam-4. The toy preset's dropout rate is 0, so one more run,
 through the library API, trains `bert` at dropout rate 0.1 (3 epochs,
 seed 5, `max_lr` 3e-3) into `bert_dropout/`: the only run that draws
-dropout masks. A revision whose API lacks a name it uses fails with exit 2.
-The two trees run at the same time, each with one BLAS thread.
+dropout masks. A last library-API run trains `gpt2` (3 epochs, seed 5,
+`max_lr` 3e-3) into `gpt2_ragged/` on 64 pairs of a seeded synthetic
+corpus, sentences of 4-14 words drawn from 5,000 (a 4,153-entry
+vocabulary): the only run whose batches hold pads on both sides, whose
+loss spans several vocabulary chunks and whose embedding tables have rows
+no batch reaches. A revision whose API lacks a name it uses fails with
+exit 2. The two trees run at the same time, each with one BLAS thread.
 
 For each artifact it prints `same`, or the offset of the first byte that
 differs. It exits 0 when every artifact is the same, 1 on any difference,
@@ -36,13 +41,15 @@ VARIANTS = ("bert", "bert+gpt2", "gpt2", "gpt2+bert")
 ARTIFACTS = ("checkpoint.bin", "history.tsv", "greedy.txt", "beam.txt")
 # Directory under out/ -> the artifacts to compare there.
 RUNS = {**{v.replace("+", "_"): ARTIFACTS for v in VARIANTS},
-        "bert_dropout": ("checkpoint.bin", "history.tsv")}
+        "bert_dropout": ("checkpoint.bin", "history.tsv"),
+        "gpt2_ragged": ("checkpoint.bin", "history.tsv")}
 
 # Run in each tree with its own src/ on the path; argv: the tree, the work directory and
 # the variant names.
 FLOW = """
 import dataclasses, subprocess, sys
 from pathlib import Path
+import numpy as np
 from sentsimp import corpus as C, tokenizer as tok
 from sentsimp.cli import main
 from sentsimp.model import init_model, variant_config
@@ -71,15 +78,30 @@ valid = C.load_eval(*C.find_eval_files(corpus / "valid"))
 vocab = tok.build_vocab([e.source for e in examples] + [e.target for e in examples], 2000)
 config = dataclasses.replace(variant_config("bert", "toy", vocab.size), dropout_rate=0.1)
 cfg = TrainConfig(max_lr=3e-3, epochs=3, seed=5)
-pairs = [(tok.encode(vocab, e.source, config.max_len).ids,
-          tok.encode(vocab, e.target, config.max_len).ids) for e in examples]
-batches = C.make_batches(pairs, cfg.batch_size, vocab.pad_id, config.max_len,
-                         shuffle_seed=cfg.seed)
-ckpt, history = train_loop(init_model(config, cfg.seed), batches, valid, cfg, vocab)
-run = out / "bert_dropout"
-run.mkdir()
-save_checkpoint(ckpt, run / "checkpoint.bin")
-(run / "history.tsv").write_text(history_tsv(history))
+
+def train_into(name, config, vocab, pairs, valid):
+    pairs = [(tok.encode(vocab, s, config.max_len).ids, tok.encode(vocab, t, config.max_len).ids)
+             for s, t in pairs]
+    batches = C.make_batches(pairs, cfg.batch_size, vocab.pad_id, config.max_len,
+                             shuffle_seed=cfg.seed)
+    ckpt, history = train_loop(init_model(config, cfg.seed), batches, valid, cfg, vocab)
+    run = out / name
+    run.mkdir()
+    save_checkpoint(ckpt, run / "checkpoint.bin")
+    (run / "history.tsv").write_text(history_tsv(history))
+
+
+train_into("bert_dropout", config, vocab, [(e.source, e.target) for e in examples], valid)
+
+# 1,000 sentences of 4-14 words drawn from 5,000 make the vocabulary; 64 pairs train and 8
+# validate, so most table rows are never reached. Each target keeps every other word.
+rng = np.random.default_rng(11)
+sources = [" ".join(f"w{i}" for i in rng.integers(0, 5000, size=n))
+           for n in rng.integers(4, 15, size=1000)]
+pairs = [(s, " ".join(s.split()[::2])) for s in sources]
+vocab = tok.build_vocab(sources, 6000)
+valid = [C.EvalExample(s, (t,)) for s, t in pairs[64:72]]
+train_into("gpt2_ragged", variant_config("gpt2", "toy", vocab.size), vocab, pairs[:64], valid)
 """
 
 

@@ -13,6 +13,11 @@ normalises x + r; and `cross_entropy(x, targets, ignore_id, w, bias)` is
 the output projection and the loss together, run over vocabulary chunks
 so the logits are never held whole. Backward functions never write into
 the gradient they are given, since it may be shared with other nodes.
+
+An embedding table's gradient is a `RowGrad`: the rows a lookup reached,
+by sorted distinct id, where a dense `[V, d]` array would be mostly zeros
+(a 50,257-row table gets under 0.3% of its rows from a batch). `backward`
+stores it as it is in `Tensor.stored_grad`; `Tensor.grad` reads it dense.
 """
 
 from __future__ import annotations
@@ -43,20 +48,63 @@ class FullyMaskedError(ValueError):
     """A softmax row had no unmasked position."""
 
 
+class RowGrad:
+    """The gradient of a table that is zero outside some rows: `ids`, the sorted
+    distinct ids of those rows, and `rows`, their values. Its dense form puts `rows` into
+    zeros of `shape`. Adding another RowGrad merges the two by id; adding an ndarray
+    (either way round) densifies it first. Both give the bytes of the dense sum, since
+    no stored row holds -0.0 (it is summed onto +0.0)."""
+
+    __slots__ = ("ids", "rows", "shape")
+    __array_ufunc__ = None  # so that ndarray + RowGrad calls RowGrad.__radd__
+
+    def __init__(self, ids: np.ndarray, rows: np.ndarray, shape: tuple[int, ...]):
+        self.ids, self.rows, self.shape = ids, rows, shape
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self.ids] = self.rows
+        return out
+
+    def __add__(self, other):
+        if not isinstance(other, RowGrad):
+            return self.dense() + other
+        ids = np.union1d(self.ids, other.ids)
+        rows = np.zeros((ids.size,) + self.shape[1:])
+        rows[np.searchsorted(ids, self.ids)] = self.rows
+        rows[np.searchsorted(ids, other.ids)] += other.rows
+        return RowGrad(ids, rows, self.shape)
+
+    __radd__ = __add__
+
+
 class Tensor:
     """N-dimensional float64 value, optionally tracked for backprop."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "_backward_done")
+    __slots__ = ("data", "stored_grad", "requires_grad", "_parents", "_backward_fn",
+                 "_backward_done")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         # ascontiguousarray would promote 0-d scalars to shape (1,)
         self.data = arr if arr.flags["C_CONTIGUOUS"] else np.ascontiguousarray(arr)
-        self.grad: np.ndarray | None = None
+        # The gradient as `backward` left it: an ndarray, a RowGrad, or None.
+        self.stored_grad: np.ndarray | RowGrad | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
         self._backward_fn: Callable | None = None
         self._backward_done = False
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        """dloss/dself as a dense array; a RowGrad is densified on first read, and kept."""
+        if isinstance(self.stored_grad, RowGrad):
+            self.stored_grad = self.stored_grad.dense()
+        return self.stored_grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        self.stored_grad = value
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -164,16 +212,19 @@ def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Row lookup table[ids]; gradient scatters back into the table."""
+    """Row lookup table[ids]. The table's gradient is a RowGrad over the distinct ids,
+    each row summed in index order onto +0.0 by `np.add.at`, as the dense scatter
+    `np.add.at(np.zeros(table.shape), ids, g)` sums it, so the bytes are the same."""
     ids = np.asarray(ids)
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise ShapeError(f"embedding id out of range for table of {table.shape[0]} rows")
     out = table.data[ids]
 
     def bw(g):
-        gt = np.zeros(table.data.shape)
-        np.add.at(gt, ids, g)
-        return (gt,)
+        distinct, at = np.unique(ids.reshape(-1), return_inverse=True)
+        rows = np.zeros((distinct.size,) + table.shape[1:])
+        np.add.at(rows, at, g.reshape((-1,) + table.shape[1:]))
+        return (RowGrad(distinct, rows, table.shape),)
 
     return _result(out, (table,), bw)
 
@@ -267,7 +318,8 @@ def cross_entropy(x: Tensor, targets: np.ndarray, ignore_id: int,
     `_CHUNK` vocabulary columns at a time: the forward keeps each row's running max,
     its rescaled sum of exps and its target logit (an online softmax); the backward
     recomputes each chunk's logits and turns them into softmax minus one-hot. With
-    one chunk the arithmetic, and so every byte, is that of the whole-row formula.
+    one chunk the forward's logits are kept for the backward instead, and the
+    arithmetic, and so every byte, is that of the whole-row formula.
     """
     targets = np.asarray(targets)
     if targets.shape != x.shape[:-1]:
@@ -313,6 +365,7 @@ def cross_entropy(x: Tensor, targets: np.ndarray, ignore_id: int,
         total = np.exp(z, out=z).sum(axis=1)
         s = total if m is None else s * np.exp(m - top) + total
         m = top
+    kept = c if len(chunks) == 1 else None  # the one chunk's logits, for the backward
     lse = np.log(s)
     nll = np.where(valid.reshape(-1), lse - (picked - m), 0.0)
     n = int(valid.sum())
@@ -326,8 +379,10 @@ def cross_entropy(x: Tensor, targets: np.ndarray, ignore_id: int,
         else:
             gw, gb = np.empty(weight.shape), np.empty(vocab)
         for lo, hi in chunks:
-            c = logits(lo, hi)
-            c = np.subtract(c, m[:, None], out=gx[:, lo:hi] if weight is None else c)
+            c = logits(lo, hi) if kept is None else kept
+            # Kept logits are only read, so the backward gives the same on every call.
+            out = gx[:, lo:hi] if weight is None else c if kept is None else None
+            c = np.subtract(c, m[:, None], out=out)
             c -= lse[:, None]
             np.exp(c, out=c)
             c[hits(lo, hi)] -= 1.0
@@ -348,7 +403,9 @@ def cross_entropy(x: Tensor, targets: np.ndarray, ignore_id: int,
 
 
 def backward(loss: Tensor) -> None:
-    """Populate .grad with dloss/dtensor for every requires_grad tensor."""
+    """Populate .grad with dloss/dtensor for every requires_grad tensor. Gradients add up
+    with `+`, so a table's RowGrads merge by id and meet a dense gradient densified; a
+    node's backward function always gets a dense array."""
     if loss.data.ndim != 0:
         raise GraphError(f"backward needs a scalar, got shape {loss.shape}")
     if loss._backward_done:
@@ -375,9 +432,11 @@ def backward(loss: Tensor) -> None:
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        node.grad = g if node.grad is None else node.grad + g
+        node.stored_grad = g if node.stored_grad is None else node.stored_grad + g
         if node._backward_fn is None:
             continue
+        if isinstance(g, RowGrad):  # a lookup into a computed table
+            g = g.dense()
         for parent, pg in zip(node._parents, node._backward_fn(g)):
             if not parent.requires_grad or pg is None:
                 continue

@@ -3,8 +3,11 @@
 Training updates the model's payload in place. The optimiser keeps both
 Adam moments in two buffers of the payload's layout, which it takes from
 the config (see `OptState`), and updates each parameter on its own views
-of the payload and both moments, a block at a time. The best-epoch
-snapshot is one copy of the payload, and that copy is the checkpoint's.
+of the payload and both moments, a block at a time. An embedding table's
+gradient stays in the row form `backward` gives it (`tensor.RowGrad`):
+the clip norm and the update read only the rows a batch reached. The
+best-epoch snapshot is one copy of the payload, and that copy is the
+checkpoint's.
 
 The checkpoint file is the magic "SSCK", then a little-endian uint32
 version (2) and uint64 header length, then a UTF-8 JSON header
@@ -87,14 +90,17 @@ class TrainConfig:
 @dataclass
 class OptState:
     """AdamW's state over one model: both Adam moments in buffers of the payload's
-    layout (`m_arena`, `v_arena`), and the step count `t`.
+    layout (`m_arena`, `v_arena`), and the step count `t`. Each buffer is an anonymous
+    mapping advised off huge pages (`_zeros`), so a table's moment rows take memory
+    only once they go live: 4 KB pages, where a 2 MB huge page would be faulted in
+    whole for one row.
 
     `slots` holds, per parameter in `param_shapes` order, its views of both moment
     buffers, its live flags and whether weight decay applies to it (all but the layer
     norms, `.ln`). An embedding table (`_emb`) has a flag per row, set once a gradient
-    has reached that row; every other parameter has None. A row whose flag is unset has
-    had an all-zero gradient at every step, so its moments are +0.0 and the Adam step
-    leaves it unchanged."""
+    row that is not all zero has reached it, so a pad id's row never goes live; every
+    other parameter has None. A row whose flag is unset has had an all-zero gradient
+    at every step, so its moments are +0.0 and the Adam step leaves it unchanged."""
     m_arena: np.ndarray
     v_arena: np.ndarray
     slots: list[tuple[np.ndarray, np.ndarray, np.ndarray | None, bool]]
@@ -151,11 +157,22 @@ def onecycle_lr(step: int, total_steps: int, cfg: TrainConfig) -> float:
     return cfg.final_lr + (cfg.max_lr - cfg.final_lr) * 0.5 * (1.0 + math.cos(math.pi * t))
 
 
+def _zeros(n: int) -> np.ndarray:
+    """n float64 zeros in an anonymous mapping kept off huge pages, where mmap can say so:
+    numpy advises huge pages for arrays of 4 MB or more, and under them one row written
+    into a table's span faults in 2 MB, where here it costs its 4 KB pages."""
+    buffer = mmap.mmap(-1, 8 * n)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buffer.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buffer, np.float64)
+
+
 def init_opt_state(model: Model) -> OptState:
-    """Zero both moments in the payload's layout, with no table row live."""
+    """Zero both moments in the payload's layout, with no table row live. Each moment
+    buffer is a fresh mapping (`_zeros`), so the moments of table rows that never go
+    live cost no memory."""
     shapes = param_shapes(model.config)
-    # np.zeros leaves the pages of moment rows that never go live untouched.
-    m_arena, v_arena = np.zeros(model.payload.size), np.zeros(model.payload.size)
+    m_arena, v_arena = _zeros(model.payload.size), _zeros(model.payload.size)
     ms, vs = param_views(m_arena, shapes), param_views(v_arena, shapes)
     slots = [(ms[n], vs[n], np.zeros(s[0], dtype=bool) if n.endswith("_emb") else None,
               ".ln" not in n) for n, s in shapes.items()]
@@ -208,11 +225,12 @@ def adamw_step(model: Model, state: OptState, lr: float, cfg: TrainConfig,
     On an embedding table the Adam step runs on the live rows only (see OptState),
     gathered and scattered back, and every row then gets the decay: for a row that is
     not live the full arithmetic would subtract +0.0, so the bytes are those of the
-    dense update.
+    dense update. A table's gradient is read as its RowGrad, never densified; a dense
+    one, as a caller may assign, is first cut to its nonzero rows.
     """
     grads = []
     for name, p in model.params.items():
-        g = p.grad
+        g = p.stored_grad
         if g is None:
             raise ValueError(f"parameter {name} has no gradient")
         if g.shape != p.data.shape:
@@ -226,10 +244,16 @@ def adamw_step(model: Model, state: OptState, lr: float, cfg: TrainConfig,
             _adam(p.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1), lr, state.t,
                   cfg, factor, decay if decays else None)
             continue
-        live |= (g != 0).any(axis=1)
+        if not isinstance(g, T.RowGrad):
+            ids = np.flatnonzero((g != 0).any(axis=1))
+            g = T.RowGrad(ids, g[ids], g.shape)
+        reached = (g.rows != 0).any(axis=1)  # a pad id's row is all zero: it stays unset
+        live[g.ids[reached]] = True
         rows = np.flatnonzero(live)
+        gr = np.zeros((rows.size, p.shape[1]))
+        gr[np.searchsorted(rows, g.ids[reached])] = g.rows[reached]
         pr, mr, vr = p[rows], m[rows], v[rows]
-        _adam(pr.reshape(-1), g[rows].reshape(-1), mr.reshape(-1), vr.reshape(-1), lr,
+        _adam(pr.reshape(-1), gr.reshape(-1), mr.reshape(-1), vr.reshape(-1), lr,
               state.t, cfg, factor, None)
         p[rows], m[rows], v[rows] = pr, mr, vr
         flat = p.reshape(-1)
@@ -241,11 +265,15 @@ def adamw_step(model: Model, state: OptState, lr: float, cfg: TrainConfig,
 def clip_gradients(model: Model) -> float:
     """The global gradient norm, before clipping. Clipping to `clip_norm` scales every
     gradient by clip_norm / norm when the norm is larger; `adamw_step` applies that
-    factor as it reads each gradient, so no gradient is written here."""
+    factor as it reads each gradient, so no gradient is written here. A table's RowGrad
+    adds only its stored rows, one `np.vdot` as for any other parameter: the rows left
+    out are whole rows of zeros."""
     total = 0.0
     for p in model.params.values():
-        if p.grad is not None:
-            total += float(np.vdot(p.grad, p.grad))
+        g = p.stored_grad
+        if g is not None:
+            g = g.rows if isinstance(g, T.RowGrad) else g
+            total += float(np.vdot(g, g))
     return math.sqrt(total)
 
 

@@ -15,8 +15,9 @@ def worktrees() -> str:
 
 
 def test_head_against_the_working_tree():
-    """The toy flow of all four variant names, and the dropout run, gives the same bytes
-    in a worktree of HEAD and in this checkout, and the worktree is gone afterwards."""
+    """The toy flow of all four variant names, the dropout run and the ragged `gpt2` run
+    give the same bytes in a worktree of HEAD and in this checkout, and the worktree is
+    gone afterwards."""
     before = worktrees()
     done = subprocess.run([sys.executable, str(SCRIPT), "HEAD"], capture_output=True,
                           text=True, timeout=120)
@@ -26,7 +27,8 @@ def test_head_against_the_working_tree():
                                                              "gpt2_bert")
                                         for a in ("checkpoint.bin", "history.tsv",
                                                   "greedy.txt", "beam.txt")] + [
-        "bert_dropout/checkpoint.bin", "bert_dropout/history.tsv"]
+        "bert_dropout/checkpoint.bin", "bert_dropout/history.tsv",
+        "gpt2_ragged/checkpoint.bin", "gpt2_ragged/history.tsv"]
     assert all(row[1:] == ["same"] for row in rows)
     assert worktrees() == before
 

@@ -351,6 +351,64 @@ class TestChunkedCrossEntropy:
         assert peak(lambda x, w, b, t: T.cross_entropy(T.matmul(x, w, b), t, 0)) > bound
 
 
+class TestEmbeddingRowGrad:
+    """A table's gradient is a RowGrad over the distinct ids looked up, with the bytes
+    of the dense scatter `np.add.at(np.zeros(table.shape), ids, g)`. Id 0 stands for
+    the pad: its upstream rows are zero, as a loss that ignores pads makes them."""
+    shape = (50, 6)
+
+    def lookups(self, table, *id_arrays):
+        """A loss over a lookup of each id array, and the dense gradient of each."""
+        rng = np.random.default_rng(len(id_arrays))
+        loss, dense = None, []
+        for ids in id_arrays:
+            g = rng.normal(size=ids.shape + self.shape[1:])
+            g[ids == 0] = 0.0
+            term = tensor_sum(mul(T.embedding(table, ids), tensor(g)))
+            loss = term if loss is None else T.add(loss, term)
+            dense.append(np.zeros(self.shape))
+            np.add.at(dense[-1], ids, g)
+        return loss, dense
+
+    def table(self):
+        return tensor(np.random.default_rng(0).normal(size=self.shape), rg=True)
+
+    def test_repeated_and_pad_ids_densify_to_the_dense_scatter(self):
+        table = self.table()
+        ids = np.array([[3, 7, 3, 0, 0], [7, 12, 3, 3, 0]])
+        loss, (want,) = self.lookups(table, ids)
+        backward(loss)
+        g = table.stored_grad
+        assert isinstance(g, T.RowGrad) and g.ids.tolist() == [0, 3, 7, 12]
+        assert not g.rows[0].any()
+        assert g.dense().tobytes() == want.tobytes()
+        assert table.grad.tobytes() == want.tobytes()  # dense on read, and kept dense
+        assert isinstance(table.stored_grad, np.ndarray)
+
+    def test_two_lookups_of_one_table_merge_to_the_dense_sum(self):
+        table = self.table()
+        loss, (a, b) = self.lookups(table, np.array([[5, 9, 5, 0]]), np.array([9, 2, 40, 2]))
+        backward(loss)
+        g = table.stored_grad
+        assert isinstance(g, T.RowGrad) and g.ids.tolist() == [0, 2, 5, 9, 40]
+        assert g.dense().tobytes() == (a + b).tobytes()
+
+    def test_a_dense_gradient_densifies_the_row_form(self):
+        table = self.table()
+        loss, (want,) = self.lookups(table, np.array([4, 4, 11]))
+        weights = np.random.default_rng(1).normal(size=self.shape)
+        backward(T.add(loss, tensor_sum(mul(table, tensor(weights)))))
+        assert isinstance(table.stored_grad, np.ndarray)
+        assert table.stored_grad.tobytes() == (want + weights).tobytes()
+
+    def test_a_lookup_into_a_computed_table_passes_a_dense_gradient_on(self):
+        table = self.table()
+        ids = np.array([1, 8, 1])
+        loss, (want,) = self.lookups(T.scale(table, 2.0), ids)
+        backward(loss)
+        assert table.stored_grad.tobytes() == (want * 2.0).tobytes()
+
+
 class TestBackward:
     def test_sum_gives_ones(self):
         w = tensor([1.0, 2.0, 3.0], rg=True)

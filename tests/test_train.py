@@ -210,6 +210,33 @@ class TestAdamW:
                                   np.unique(np.nonzero(mask)[1]))
             assert not live[f"{side}.tok_emb"][vocab.pad_id]
 
+    def test_table_gradients_stay_row_sparse_through_a_step(self):
+        """At a vocabulary of 5,000, backward, clip_gradients and adamw_step leave each
+        table's gradient a RowGrad over exactly its batch's distinct ids (pads included,
+        as all-zero rows). Read as `grad` it is dense, and the dense gradients give the
+        same clip norm and the same update, bit for bit."""
+        pairs = [(" ".join(s.split()[:9 - i % 4]), " ".join(t.split()[:8 - i % 3]))
+                 for i, (s, t) in enumerate(make_toy_pairs(16, 0))]
+        vocab = toy_vocab(pairs)
+        model = init_model(toy_model_config(5000), 0)
+        reference = copy.deepcopy(model)
+        batch = tokenized_batches(pairs, vocab, batch_size=8)[0]
+        T.backward(forward(model, batch, ignore_id=vocab.pad_id))
+        norm = clip_gradients(model)
+        adamw_step(model, init_opt_state(model), 1e-3, TrainConfig(), 0.5)
+        looked_up = {"enc": batch.source_ids, "dec": batch.target_in_ids}
+        for side, ids in looked_up.items():
+            for kind, want in (("tok", np.unique(ids)), ("pos", np.arange(ids.shape[1]))):
+                g = model.params[f"{side}.{kind}_emb"].stored_grad
+                assert isinstance(g, T.RowGrad) and np.array_equal(g.ids, want)
+            assert vocab.pad_id in ids
+        for name, p in reference.params.items():
+            p.grad = model.params[name].grad
+            assert isinstance(p.grad, np.ndarray) and p.grad.shape == p.shape
+        assert clip_gradients(reference) == norm
+        adamw_step(reference, init_opt_state(reference), 1e-3, TrainConfig(), 0.5)
+        assert reference.payload.tobytes() == model.payload.tobytes()
+
     def test_blocked_update_matches_whole_array_recurrence(self):
         """Updating each parameter a block at a time, the embedding tables' live
         rows only, gives exactly the bytes of the per-parameter whole-array formula on
