@@ -34,6 +34,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -125,33 +126,50 @@ def git(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, text=True)
 
 
-def run(parent: str, change: str | None, tmp: Path) -> int:
+class CheckoutError(Exception):
+    pass
+
+
+@contextmanager
+def checked_out(revisions: dict[str, str | None], tmp: Path):
+    """Side -> the tree of each side's revision: a temporary `git worktree` at
+    tmp/<side>/tree, or this checkout, in place, for None. Every worktree added is
+    removed when the block ends, however it ends. CheckoutError names a revision that
+    cannot be checked out."""
     trees, added = {}, []
     try:
-        for side, rev in (("parent", parent), ("change", change)):
+        for side, rev in revisions.items():
             if rev is None:
                 trees[side] = ROOT
                 continue
             tree = tmp / side / "tree"
             done = git("worktree", "add", "--detach", str(tree), rev)
             if done.returncode:
-                print(f"error: cannot check out {rev}: {done.stderr.strip()}", file=sys.stderr)
-                return 2
+                raise CheckoutError(f"cannot check out {rev}: {done.stderr.strip()}")
             added.append(tree)
             trees[side] = tree
-        flows = {side: start_flow(tree, tmp / side) for side, tree in trees.items()}
-        failed = False
-        for side, flow in flows.items():
-            log = flow.communicate()[0]
-            if flow.returncode:
-                print(f"error: the {side} flow failed:\n{log}", file=sys.stderr)
-                failed = True
-        if failed:
-            return 2
+        yield trees
     finally:
         for tree in added:
             git("worktree", "remove", "--force", str(tree))
         git("worktree", "prune")
+
+
+def run(parent: str, change: str | None, tmp: Path) -> int:
+    try:
+        with checked_out({"parent": parent, "change": change}, tmp) as trees:
+            flows = {side: start_flow(tree, tmp / side) for side, tree in trees.items()}
+            failed = False
+            for side, flow in flows.items():
+                log = flow.communicate()[0]
+                if flow.returncode:
+                    print(f"error: the {side} flow failed:\n{log}", file=sys.stderr)
+                    failed = True
+            if failed:
+                return 2
+    except CheckoutError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     differs = False
     for run_dir, artifacts in RUNS.items():

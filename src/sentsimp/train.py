@@ -2,12 +2,18 @@
 
 Training updates the model's payload in place. The optimiser keeps both
 Adam moments in two buffers of the payload's layout, which it takes from
-the config (see `OptState`), and updates each parameter on its own views
-of the payload and both moments, a block at a time. An embedding table's
-gradient stays in the row form `backward` gives it (`tensor.RowGrad`):
-the clip norm and the update read only the rows a batch reached. The
-best-epoch snapshot is one copy of the payload, and that copy is the
-checkpoint's.
+the config (see `OptState`), and updates the dense parameters in spans, a
+block at a time: each maximal run of adjacent parameters smaller than one
+block is one contiguous run of the payload, both moments and a gradient
+buffer the step copies their gradients into, and a larger parameter is a
+span of its own whose gradient is read in place, so the buffer stays the
+size of the small parameters (1.3 MB at toy width) at any vocabulary. An
+embedding table's gradient stays in the row form `backward` gives it
+(`tensor.RowGrad`): the clip norm and the update read only the rows a
+batch reached. Each block the update writes is checked finite right after
+its weight decay, while it is in cache; there is no pass over the whole
+payload. The best-epoch snapshot is one buffer the size of the payload,
+written over at each improving epoch, and it is the checkpoint's.
 
 The checkpoint file is the magic "SSCK", then a little-endian uint32
 version (2) and uint64 header length, then a UTF-8 JSON header
@@ -28,8 +34,8 @@ import os
 import struct
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields, asdict
-from itertools import zip_longest
-from typing import ClassVar
+from itertools import groupby, zip_longest
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -87,6 +93,14 @@ class TrainConfig:
             raise ValueError("patience must be >= 1")
 
 
+class Span(NamedTuple):
+    """Adjacent dense parameters that AdamW updates as one run of the payload."""
+    at: slice                   # the span's entries of the payload and of both moments
+    names: tuple[str, ...]      # its parameters, in header order
+    grad: np.ndarray | None     # its gradient buffer; None for a span of one parameter
+    decayed: tuple[tuple[int, int], ...]  # its runs of decayed parameters, span offsets
+
+
 @dataclass
 class OptState:
     """AdamW's state over one model: both Adam moments in buffers of the payload's
@@ -95,15 +109,21 @@ class OptState:
     only once they go live: 4 KB pages, where a 2 MB huge page would be faulted in
     whole for one row.
 
-    `slots` holds, per parameter in `param_shapes` order, its views of both moment
-    buffers, its live flags and whether weight decay applies to it (all but the layer
-    norms, `.ln`). An embedding table (`_emb`) has a flag per row, set once a gradient
-    row that is not all zero has reached it, so a pad id's row never goes live; every
-    other parameter has None. A row whose flag is unset has had an all-zero gradient
-    at every step, so its moments are +0.0 and the Adam step leaves it unchanged."""
+    `tables` maps each embedding table (`_emb`) to its views of both moment buffers and
+    a live flag per row, set once a gradient row that is not all zero has reached it,
+    so a pad id's row never goes live. A row whose flag is unset has had an all-zero
+    gradient at every step, so its moments are +0.0 and the Adam step leaves it
+    unchanged.
+
+    `spans` covers every other parameter, in header order: a maximal run of adjacent
+    parameters smaller than one block (`_ADAMW_BLOCK`) is one span, and a larger one is
+    a span of its own. A span of several parameters has its own view of one gradient
+    buffer; a span of one reads that parameter's gradient in place. Weight decay
+    applies to all but the layer norms (`.ln`)."""
     m_arena: np.ndarray
     v_arena: np.ndarray
-    slots: list[tuple[np.ndarray, np.ndarray, np.ndarray | None, bool]]
+    tables: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]
+    spans: list[Span]
     t: int = 0
 
 
@@ -168,30 +188,58 @@ def _zeros(n: int) -> np.ndarray:
 
 
 def init_opt_state(model: Model) -> OptState:
-    """Zero both moments in the payload's layout, with no table row live. Each moment
-    buffer is a fresh mapping (`_zeros`), so the moments of table rows that never go
-    live cost no memory."""
+    """Zero both moments in the payload's layout, with no table row live, and lay out the
+    spans and their gradient buffer. Each moment buffer is a fresh mapping (`_zeros`), so
+    the moments of table rows that never go live cost no memory. The gradient buffer
+    holds only the spans of several parameters: a large parameter's gradient is read in
+    place, so the buffer never grows with the vocabulary."""
     shapes = param_shapes(model.config)
     m_arena, v_arena = _zeros(model.payload.size), _zeros(model.payload.size)
     ms, vs = param_views(m_arena, shapes), param_views(v_arena, shapes)
-    slots = [(ms[n], vs[n], np.zeros(s[0], dtype=bool) if n.endswith("_emb") else None,
-              ".ln" not in n) for n, s in shapes.items()]
-    return OptState(m_arena, v_arena, slots)
+    tables = {n: (ms[n], vs[n], np.zeros(s[0], dtype=bool))
+              for n, s in shapes.items() if n.endswith("_emb")}
+    layout, offset = [], 0  # (name, start, end) in the payload
+    for name, shape in shapes.items():
+        layout.append((name, offset, offset + math.prod(shape)))
+        offset += math.prod(shape)
+
+    def kind(entry):  # tables; runs of small parameters; each large one on its own
+        name, lo, hi = entry
+        return "table" if name in tables else "small" if hi - lo < _ADAMW_BLOCK else name
+
+    groups = [list(g) for k, g in groupby(layout, kind) if k != "table"]
+    buffer = np.empty(sum(g[-1][2] - g[0][1] for g in groups if len(g) > 1))
+    spans, used = [], 0
+    for group in groups:
+        lo, hi = group[0][1], group[-1][2]
+        grad = None
+        if len(group) > 1:
+            grad, used = buffer[used:used + hi - lo], used + hi - lo
+        runs = [list(r) for decays, r in groupby(group, lambda e: ".ln" not in e[0]) if decays]
+        decayed = tuple((r[0][1] - lo, r[-1][2] - lo) for r in runs)
+        spans.append(Span(slice(lo, hi), tuple(n for n, _, _ in group), grad, decayed))
+    return OptState(m_arena, v_arena, tables, spans)
 
 
-def _adam(p, g, m, v, lr: float, t: int, cfg: TrainConfig, factor: float,
-          decay: float | None) -> None:
+def _finite(block: np.ndarray) -> None:
+    if not np.isfinite(block).all():
+        raise NonFiniteError("non-finite update")
+
+
+def _adam(p, g, m, v, lr: float, t: int, cfg: TrainConfig, factor: float, decay: float,
+          decayed: tuple[tuple[int, int], ...]) -> None:
     """The AdamW recurrence on gradient g * factor, in place over the flat arrays p, m
     and v, a block at a time in two block-sized buffers; g is only read. The decay of the
-    updated value follows, if given. Every operation is elementwise, so blocking leaves
-    the bytes unchanged."""
+    updated value follows on the entries of p in the `decayed` ranges, and then every
+    value the block wrote is checked finite (NonFiniteError), while it is in cache. Every
+    operation is elementwise, so neither blocking nor spans change a byte."""
     bc1 = 1.0 - cfg.beta1 ** t
     bc2 = 1.0 - cfg.beta2 ** t
     size = min(_ADAMW_BLOCK, p.size)
     tmp_buffer, update_buffer = np.empty(size), np.empty(size)
     for lo in range(0, p.size, _ADAMW_BLOCK):
-        block = slice(lo, lo + _ADAMW_BLOCK)
-        pb, gb, mb, vb = p[block], g[block], m[block], v[block]
+        hi = lo + _ADAMW_BLOCK
+        pb, gb, mb, vb = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
         tmp, update = tmp_buffer[:pb.size], update_buffer[:pb.size]
         if factor != 1.0:
             gb = np.multiply(gb, factor, out=update)  # last read before the update is formed
@@ -209,41 +257,55 @@ def _adam(p, g, m, v, lr: float, t: int, cfg: TrainConfig, factor: float,
         update /= tmp
         update *= lr
         pb -= update
-        if decay is not None:
-            np.multiply(pb, decay, out=tmp)
-            pb -= tmp
+        for a, b in decayed:
+            if a >= hi:
+                break
+            if b > lo:
+                part = slice(max(a, lo) - lo, min(b, hi) - lo)
+                np.multiply(pb[part], decay, out=tmp[part])
+                pb[part] -= tmp[part]
+        _finite(pb)  # after the decay, which can overflow too: at lr 1e200 it scales by 1e198
 
 
 def adamw_step(model: Model, state: OptState, lr: float, cfg: TrainConfig,
                factor: float = 1.0) -> None:
-    """One decoupled-weight-decay Adam update of each parameter over its own slice of
-    the payload, on the gradients scaled by `factor` (the clip from `clip_gradients`; no
+    """One decoupled-weight-decay Adam update of every parameter in place in the
+    payload, on the gradients scaled by `factor` (the clip from `clip_gradients`; no
     gradient array is written, since parameters can share one): the Adam step, then the
     decay of the updated value. Weight decay skips layer-norm gains and biases (never by
     a multiply by 0.0, which would turn a -0.0 parameter into +0.0).
 
-    On an embedding table the Adam step runs on the live rows only (see OptState),
-    gathered and scattered back, and every row then gets the decay: for a row that is
-    not live the full arithmetic would subtract +0.0, so the bytes are those of the
-    dense update. A table's gradient is read as its RowGrad, never densified; a dense
-    one, as a caller may assign, is first cut to its nonzero rows.
+    Each span (see OptState) is one run of `_adam`: the gradients of a span of several
+    parameters are first copied into its buffer, never aliased. On an embedding table
+    the Adam step runs on the live rows only, gathered and scattered back, and every row
+    then gets the decay: for a row that is not live the full arithmetic would subtract
+    +0.0, so the bytes are those of the dense update. A table's gradient is read as its
+    RowGrad, never densified; a dense one, as a caller may assign, is first cut to its
+    nonzero rows.
+
+    Each block is checked finite once written (NonFiniteError), which leaves the
+    payload partly updated; nothing is written before every gradient is checked present
+    and of its parameter's shape (ValueError).
     """
-    grads = []
+    grads = {}
     for name, p in model.params.items():
         g = p.stored_grad
         if g is None:
             raise ValueError(f"parameter {name} has no gradient")
         if g.shape != p.data.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {p.data.shape} for {name}")
-        grads.append(g)
+        grads[name] = g
     state.t += 1
     decay = lr * cfg.weight_decay
-    for param, g, (m, v, live, decays) in zip(model.params.values(), grads, state.slots):
-        p = param.data
-        if live is None:
-            _adam(p.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1), lr, state.t,
-                  cfg, factor, decay if decays else None)
-            continue
+    for at, names, grad, decayed in state.spans:
+        if grad is None:
+            g = grads[names[0]].reshape(-1)
+        else:
+            g = np.concatenate([grads[n] for n in names], axis=None, out=grad)
+        _adam(model.payload[at], g, state.m_arena[at], state.v_arena[at], lr, state.t, cfg,
+              factor, decay, decayed)
+    for name, (m, v, live) in state.tables.items():
+        p, g = model.params[name].data, grads[name]
         if not isinstance(g, T.RowGrad):
             ids = np.flatnonzero((g != 0).any(axis=1))
             g = T.RowGrad(ids, g[ids], g.shape)
@@ -254,12 +316,13 @@ def adamw_step(model: Model, state: OptState, lr: float, cfg: TrainConfig,
         gr[np.searchsorted(rows, g.ids[reached])] = g.rows[reached]
         pr, mr, vr = p[rows], m[rows], v[rows]
         _adam(pr.reshape(-1), gr.reshape(-1), mr.reshape(-1), vr.reshape(-1), lr,
-              state.t, cfg, factor, None)
+              state.t, cfg, factor, decay, ())
         p[rows], m[rows], v[rows] = pr, mr, vr
         flat = p.reshape(-1)
         for lo in range(0, flat.size, _ADAMW_BLOCK):
             pb = flat[lo:lo + _ADAMW_BLOCK]
             pb -= pb * decay
+            _finite(pb)
 
 
 def clip_gradients(model: Model) -> float:
@@ -336,10 +399,12 @@ def train_loop(model: Model, train_batches: list[Batch], valid: list[EvalExample
                     f"non-finite gradient norm {norm} at epoch {epoch}, batch {bi}")
             factor = cfg.clip_norm / norm if norm > cfg.clip_norm else 1.0
             lr = onecycle_lr(step, total_steps, cfg)
-            adamw_step(model, state, lr, cfg, factor)
+            try:
+                adamw_step(model, state, lr, cfg, factor)
+            except NonFiniteError as exc:  # a finite norm's update can overflow
+                raise TrainingDivergedError(
+                    f"non-finite update at epoch {epoch}, batch {bi}") from exc
             T.zero_grad(model.parameters())  # no gradient lives through validation
-            if not np.isfinite(model.payload).all():  # a finite norm's update can overflow
-                raise TrainingDivergedError(f"non-finite update at epoch {epoch}, batch {bi}")
             step += 1
 
         valid_sari = score_fn(model)
@@ -347,7 +412,9 @@ def train_loop(model: Model, train_batches: list[Batch], valid: list[EvalExample
         if best is None or valid_sari > best_sari:
             best_sari = valid_sari
             history.best_epoch = epoch
-            best = model.payload.copy()
+            if best is None:
+                best = np.empty_like(model.payload)
+            np.copyto(best, model.payload)
         elif cfg.patience is not None and epoch - history.best_epoch >= cfg.patience:
             history.stopped_early = True
             break

@@ -140,7 +140,7 @@ class TestInitModel:
         cfg = toy_model_config(16)
         model = init_model(cfg, 0)
         state = init_opt_state(model)
-        live = {n: f for n, (_, _, f, _) in zip(model.params, state.slots) if f is not None}
+        live = {n: f for n, (_, _, f) in state.tables.items()}
         assert live.keys() == {"enc.tok_emb", "enc.pos_emb", "dec.tok_emb", "dec.pos_emb"}
         assert {n for n in param_shapes(cfg) if n.endswith("_emb")} == live.keys()
         assert all(param_shapes(cfg)[n] == (f.size, cfg.d_model) for n, f in live.items())

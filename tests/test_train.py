@@ -78,9 +78,9 @@ def assert_laid_end_to_end(flat: np.ndarray, arrays) -> None:
     assert offset == flat.size
 
 
-def live_flags(model: Model, state) -> dict[str, np.ndarray]:
+def live_flags(state) -> dict[str, np.ndarray]:
     """Name -> AdamW's live flags, for each parameter that has them."""
-    return {n: live for n, (_, _, live, _) in zip(model.params, state.slots) if live is not None}
+    return {n: live for n, (_, _, live) in state.tables.items()}
 
 
 def ckpt_params(ckpt: Checkpoint) -> dict[str, np.ndarray]:
@@ -155,13 +155,18 @@ class TestAdamW:
         assert list(model.params) == list(param_shapes(model.config))
         assert_laid_end_to_end(model.payload, [p.data for p in model.params.values()])
         assert state.m_arena.shape == state.v_arena.shape == model.payload.shape
-        assert_laid_end_to_end(state.m_arena, [m for m, _, _, _ in state.slots])
-        assert_laid_end_to_end(state.v_arena, [v for _, v, _, _ in state.slots])
+        assert [n for span in state.spans for n in span.names] == [
+            n for n in model.params if n not in state.tables]
+        for k, arena in enumerate((state.m_arena, state.v_arena)):
+            # The tables' moment views and the spans' runs cover it in header order.
+            runs = {**{n: views[k] for n, views in state.tables.items()},
+                    **{span.names[0]: arena[span.at] for span in state.spans}}
+            assert_laid_end_to_end(arena, [runs[n] for n in model.params if n in runs])
         assert not np.shares_memory(state.m_arena, state.v_arena)
         assert model.payload.tobytes() == before
         assert not state.m_arena.any() and not state.v_arena.any()
         # Each embedding table, found by name, has a live flag per row, none set.
-        live = live_flags(model, state)
+        live = live_flags(state)
         assert live.keys() == {n for n in model.params if n.endswith("_emb")}
         assert all(f.shape == model.params[n].shape[:1] and not f.any() for n, f in live.items())
 
@@ -183,7 +188,7 @@ class TestAdamW:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sum(f.sum() for f in live_flags(model, state).values()) == 4 * 12
+        assert sum(f.sum() for f in live_flags(state).values()) == 4 * 12
         assert peak < 0.25 * model.params["out.w"].data.nbytes
 
     @pytest.mark.parametrize("masking", ["bidirectional", "causal"])
@@ -199,7 +204,7 @@ class TestAdamW:
         T.backward(forward(model, batch, ignore_id=vocab.pad_id))
         state = init_opt_state(model)
         adamw_step(model, state, 1e-3, TrainConfig())
-        live = live_flags(model, state)
+        live = live_flags(state)
         real = {"enc": (batch.source_ids, batch.source_pad_mask),
                 "dec": (batch.target_in_ids, batch.target_in_ids != vocab.pad_id)}
         assert live.keys() == {f"{side}.{kind}_emb" for side in real for kind in ("tok", "pos")}
@@ -282,15 +287,72 @@ class TestAdamW:
                 if ".ln" not in name:
                     p[name] = p[name] - lr * tc.weight_decay * p[name]
             adamw_step(model, state, lr, tc, factor)
-        for (name, param), (got_m, got_v, _, _) in zip(model.params.items(), state.slots):
+        for (name, param), got_m, got_v in zip(model.params.items(),
+                                               param_views(state.m_arena, shapes).values(),
+                                               param_views(state.v_arena, shapes).values()):
             assert param.data.tobytes() == p[name].tobytes()
             assert got_m.tobytes() == m[name].tobytes()
             assert got_v.tobytes() == v[name].tobytes()
-        live = live_flags(model, state)
+        live = live_flags(state)
         assert live.keys() == reached.keys()
         for name, flags in live.items():
             assert np.array_equal(np.flatnonzero(flags),
                                   np.unique(np.concatenate(list(reached[name].values()))))
+        kept = model.params["enc.0.ln2.bias"].data[::2]
+        assert not kept.any() and np.signbit(kept).all()
+
+    def test_spans_that_cut_blocks_match_whole_array_recurrence(self, monkeypatch):
+        """At a block of 64 entries, spans cross block boundaries inside a parameter,
+        runs of decayed parameters end partway through a block, and d_ff 17 makes each
+        feed-forward weight (68 entries) a span of its own, read in place. Three steps
+        at clip factors other than 1 give the bytes of the per-parameter whole-array
+        formula, and enc.0.ln2.bias, a layer norm between decayed parameters, keeps its
+        -0.0 entries."""
+        monkeypatch.setattr(sentsimp.train, "_ADAMW_BLOCK", 64)
+        cfg = ModelConfig(d_model=4, n_heads=1, n_layers=1, d_ff=17, vocab_size=23,
+                          max_len=5)
+        shapes = param_shapes(cfg)
+        rng = np.random.default_rng(3)
+        model = init_model(cfg, 2)
+        for name, param in model.params.items():
+            if ".ln" in name:
+                param.data[:] += rng.normal(size=param.shape)
+        model.params["enc.0.ln2.bias"].data[::2] = -0.0
+        state, tc = init_opt_state(model), TrainConfig()
+        # Each span as (first parameter, parameters, gradient read in place).
+        assert [(s.names[0], len(s.names), s.grad is None) for s in state.spans] == [
+            ("enc.0.attn.wq", 10, False), ("enc.0.ff.w1", 1, True), ("enc.0.ff.b1", 1, True),
+            ("enc.0.ff.w2", 1, True), ("enc.0.ff.b2", 23, False), ("dec.0.ff.w1", 1, True),
+            ("dec.0.ff.b1", 1, True), ("dec.0.ff.w2", 1, True), ("dec.0.ff.b2", 3, False),
+            ("out.w", 1, True), ("out.b", 1, True)]
+        buffers = [s.grad for s in state.spans if s.grad is not None]
+        assert [b.size for b in buffers] == [88, 188, 12]
+        assert_laid_end_to_end(buffers[0].base, buffers)
+        # enc.0.ff.b2, then dec.0.self and dec.0.cross, each ended by a layer norm.
+        assert state.spans[4].decayed == ((0, 4), (12, 92), (100, 180))
+        p = {n: t.data.copy() for n, t in model.params.items()}
+        m = {n: np.zeros(s) for n, s in shapes.items()}
+        v = {n: np.zeros(s) for n, s in shapes.items()}
+        for t, lr, factor in ((1, 1e-2, 0.37), (2, 3e-2, 0.81), (3, 2e-2, 0.5)):
+            for name, param in model.params.items():
+                g = param.grad = rng.normal(size=shapes[name])
+                if name == "enc.0.ln2.bias":
+                    g[::2] = 0.0
+                g = g * factor
+                m[name] = tc.beta1 * m[name] + (1.0 - tc.beta1) * g
+                v[name] = tc.beta2 * v[name] + (1.0 - tc.beta2) * g * g
+                update = (m[name] / (1.0 - tc.beta1 ** t)) / (
+                    np.sqrt(v[name] / (1.0 - tc.beta2 ** t)) + tc.eps_adam)
+                p[name] = p[name] - lr * update
+                if ".ln" not in name:
+                    p[name] = p[name] - lr * tc.weight_decay * p[name]
+            adamw_step(model, state, lr, tc, factor)
+        for (name, param), got_m, got_v in zip(model.params.items(),
+                                               param_views(state.m_arena, shapes).values(),
+                                               param_views(state.v_arena, shapes).values()):
+            assert param.data.tobytes() == p[name].tobytes(), name
+            assert got_m.tobytes() == m[name].tobytes(), name
+            assert got_v.tobytes() == v[name].tobytes(), name
         kept = model.params["enc.0.ln2.bias"].data[::2]
         assert not kept.any() and np.signbit(kept).all()
 
@@ -405,6 +467,23 @@ class TestTrainLoop:
         assert_laid_end_to_end(ckpt.payload, ckpt_params(ckpt).values())
         assert not any(np.shares_memory(ckpt.payload, p.data) for p in model.params.values())
 
+    def test_snapshot_rewritten_in_place_holds_the_best_epoch(self):
+        """Epochs 1, 2 and 4 improve, so the snapshot taken at epoch 1 is written over
+        twice; the checkpoint holds epoch 4's bytes, neither the first epoch's nor the
+        last's."""
+        model, batches, valid, vocab = tiny_setup(4)
+        snapshots = []
+
+        def score(m):
+            snapshots.append(m.payload.tobytes())
+            return [1.0, 3.0, 2.0, 7.0, 5.0][len(snapshots) - 1]
+
+        cfg = TrainConfig(epochs=5, patience=None, seed=0)
+        ckpt, history = train_loop(model, batches, valid, cfg, vocab, score_fn=score)
+        assert history.best_epoch == 4 and len(set(snapshots)) == 5
+        assert ckpt.payload.tobytes() == snapshots[3]
+        assert not np.shares_memory(ckpt.payload, model.payload)
+
     def test_deep_copy_trains_its_own_payload(self):
         """A deep copy's tensors are views of the copy's own payload, so training the copy
         leaves the original's bytes alone and ends where a fresh model would."""
@@ -457,6 +536,34 @@ class TestTrainLoop:
                            match=r"gradient norm inf at epoch \d+, batch \d+"):
             train_loop(model, batches, valid, cfg, vocab, score_fn=lambda m: 0.0)
         assert np.isfinite(model.payload).all()
+
+    @pytest.mark.parametrize("name", ["out.b", "enc.tok_emb"])
+    def test_update_overflowing_in_one_entry_names_its_batch(self, monkeypatch, name):
+        """After batch 1's backward one entry is set to the largest float64: out.b's
+        last, the payload's last entry, or the last of a live row of a token table. At
+        lr 150 the Adam step leaves it finite and its weight decay (1.5) overflows it, so
+        the check that follows each block's decay stops training at that batch, with
+        that one entry the only one not finite."""
+        model, batches, valid, vocab = tiny_setup()
+        clip_gradients, calls = sentsimp.train.clip_gradients, []
+        row = batches[1].source_ids[0, 1]  # a real token of batch 1, so its row is live
+        assert row != vocab.pad_id
+
+        def clip(m):
+            calls.append(m)
+            if len(calls) == 2:
+                param = m.params[name].data
+                param[(-1,) if name == "out.b" else (row, -1)] = np.finfo(np.float64).max
+            return clip_gradients(m)
+
+        monkeypatch.setattr(sentsimp.train, "clip_gradients", clip)
+        cfg = TrainConfig(base_lr=150.0, max_lr=150.0, epochs=2, patience=None)
+        with np.errstate(over="ignore"), pytest.raises(
+                TrainingDivergedError, match=r"^non-finite update at epoch 1, batch 1$"):
+            train_loop(model, batches, valid, cfg, vocab, score_fn=lambda m: 0.0)
+        d = model.config.d_model  # enc.tok_emb leads the payload
+        entry = model.payload.size - 1 if name == "out.b" else row * d + d - 1
+        assert np.flatnonzero(~np.isfinite(model.payload)).tolist() == [entry]
 
     def test_no_gradient_or_graph_lives_through_validation(self):
         """Each step frees its graph and the parameters' gradients before the next
