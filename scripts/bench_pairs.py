@@ -21,7 +21,8 @@ each workload to its runs in run order, each {"seed", "side", "result"}
 with side "parent" or "change" and the run's last output line as the
 result. It goes to --out, or to standard output. A progress line per run
 goes to standard error. It exits 2 when a revision cannot be checked out
-or a run prints no result.
+or a run prints no result. SIGTERM ends it as an interrupt does: the
+current run is killed and the worktrees are removed.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -127,4 +129,6 @@ def main(argv=None, run=run_one) -> int:
 
 
 if __name__ == "__main__":
+    # SIGTERM exits through main's cleanup, as an interrupt does.
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(128 + signal.SIGTERM))
     sys.exit(main())

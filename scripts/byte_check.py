@@ -5,7 +5,8 @@
 
 PARENT and CHANGE are git revisions; CHANGE defaults to the working tree,
 which is used in place. Each revision is checked out in a temporary
-`git worktree`, and every worktree is removed however the run ends.
+`git worktree`, and every worktree is removed however the run ends,
+SIGTERM included.
 
 Both trees run the same toy flow, each with its own `src/` and
 `scripts/make_toy_corpus.py`: the corpus of `make_toy_corpus.py --seed 3`,
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -160,11 +162,15 @@ def run(parent: str, change: str | None, tmp: Path) -> int:
         with checked_out({"parent": parent, "change": change}, tmp) as trees:
             flows = {side: start_flow(tree, tmp / side) for side, tree in trees.items()}
             failed = False
-            for side, flow in flows.items():
-                log = flow.communicate()[0]
-                if flow.returncode:
-                    print(f"error: the {side} flow failed:\n{log}", file=sys.stderr)
-                    failed = True
+            try:
+                for side, flow in flows.items():
+                    log = flow.communicate()[0]
+                    if flow.returncode:
+                        print(f"error: the {side} flow failed:\n{log}", file=sys.stderr)
+                        failed = True
+            finally:
+                for flow in flows.values():  # still running only when this run was stopped
+                    flow.kill()
             if failed:
                 return 2
     except CheckoutError as exc:
@@ -193,4 +199,6 @@ def main() -> int:
 
 
 if __name__ == "__main__":
+    # SIGTERM exits through the worktrees' cleanup, as an interrupt does.
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(128 + signal.SIGTERM))
     sys.exit(main())

@@ -78,9 +78,9 @@ def assert_laid_end_to_end(flat: np.ndarray, arrays) -> None:
     assert offset == flat.size
 
 
-def live_flags(state) -> dict[str, np.ndarray]:
-    """Name -> AdamW's live flags, for each parameter that has them."""
-    return {n: live for n, (_, _, live) in state.tables.items()}
+def live_flags(model: Model, state) -> dict[str, np.ndarray]:
+    """Name -> AdamW's live flags, for each parameter that has them, in header order."""
+    return {n: state.tables[n][2] for n in model.params if n in state.tables}
 
 
 def ckpt_params(ckpt: Checkpoint) -> dict[str, np.ndarray]:
@@ -166,7 +166,7 @@ class TestAdamW:
         assert model.payload.tobytes() == before
         assert not state.m_arena.any() and not state.v_arena.any()
         # Each embedding table, found by name, has a live flag per row, none set.
-        live = live_flags(state)
+        live = live_flags(model, state)
         assert live.keys() == {n for n in model.params if n.endswith("_emb")}
         assert all(f.shape == model.params[n].shape[:1] and not f.any() for n, f in live.items())
 
@@ -188,7 +188,7 @@ class TestAdamW:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sum(f.sum() for f in live_flags(state).values()) == 4 * 12
+        assert sum(f.sum() for f in live_flags(model, state).values()) == 4 * 12
         assert peak < 0.25 * model.params["out.w"].data.nbytes
 
     @pytest.mark.parametrize("masking", ["bidirectional", "causal"])
@@ -204,7 +204,7 @@ class TestAdamW:
         T.backward(forward(model, batch, ignore_id=vocab.pad_id))
         state = init_opt_state(model)
         adamw_step(model, state, 1e-3, TrainConfig())
-        live = live_flags(state)
+        live = live_flags(model, state)
         real = {"enc": (batch.source_ids, batch.source_pad_mask),
                 "dec": (batch.target_in_ids, batch.target_in_ids != vocab.pad_id)}
         assert live.keys() == {f"{side}.{kind}_emb" for side in real for kind in ("tok", "pos")}
@@ -293,7 +293,7 @@ class TestAdamW:
             assert param.data.tobytes() == p[name].tobytes()
             assert got_m.tobytes() == m[name].tobytes()
             assert got_v.tobytes() == v[name].tobytes()
-        live = live_flags(state)
+        live = live_flags(model, state)
         assert live.keys() == reached.keys()
         for name, flags in live.items():
             assert np.array_equal(np.flatnonzero(flags),
