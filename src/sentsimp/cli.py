@@ -68,15 +68,13 @@ def int_or_none(text: str) -> int | None:
 
 def _read_config_file(path) -> dict[str, str]:
     values = {}
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ValueError(f"bad config line (expected key=value): {line!r}")
-            values[key.strip()] = value.strip()
+    for line in C._read_lines(path):
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ValueError(f"bad config line (expected key=value): {line!r}")
+        values[key.strip()] = value.strip()
     return values
 
 
@@ -149,11 +147,10 @@ def cmd_simplify(args) -> int:
     model = model_from_checkpoint(ckpt)
     decode_cfg = DecodeConfig(max_len=ckpt.config.max_len, strategy=args.strategy,
                               beam_width=args.beam_width)
-    with open(args.input, encoding="utf-8") as f:
-        lines = [line.rstrip("\r\n") for line in f]
+    lines = C._read_lines(args.input)
     with staged_write(args.output) as f:  # replaces --output once all lines decode
         for line in lines:
-            f.write((simplify(model, ckpt.vocab, line, decode_cfg) if line.strip() else "") + "\n")
+            f.write((simplify(model, ckpt.vocab, line, decode_cfg) if line else "") + "\n")
     return EXIT_OK
 
 
@@ -166,8 +163,7 @@ def _format_row(label, sari, add, delete, keep):
 def cmd_eval(args) -> int:
     src_path, ref_paths = C.find_eval_files(args.eval_stem)
     evals = C.load_eval(src_path, ref_paths)
-    with open(args.system, encoding="utf-8") as f:
-        outputs = [line.rstrip("\r\n") for line in f]
+    outputs = C._read_lines(args.system)
     if len(outputs) != len(evals):
         raise C.CorpusFormatError(
             f"system output has {len(outputs)} lines, evaluation set has {len(evals)}"
@@ -220,13 +216,14 @@ def cmd_report(args) -> int:
         with open(path, encoding="utf-8") as f:
             try:
                 data = json.load(f)
-            except ValueError as exc:  # not JSON, or not UTF-8
+            except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or too deep
                 raise ValueError(f"{path} is not JSON: {exc}") from exc
         scores = ("sari", "add", "delete", "keep")
         if not (isinstance(data, dict) and isinstance(data.get("label"), str)
-                and all(type(data.get(k)) in (int, float) for k in scores)):
+                and all(type(data.get(k)) in (int, float) and 0 <= data[k] <= 100
+                        for k in scores)):
             raise ValueError(f"{path} is not a JSON object with a string label and "
-                             f"numbers {', '.join(scores)}")
+                             f"numbers {', '.join(scores)} in [0, 100]")
         rows.append((data["label"], *(data[k] for k in scores)))
     rows.sort(key=lambda r: -r[1])
 

@@ -40,8 +40,12 @@ class Batch:
 
 
 def _read_lines(path) -> list[str]:
-    with open(path, encoding="utf-8") as f:
-        return [line.rstrip("\r\n").strip() for line in f]
+    """A UTF-8 text file's lines, stripped of surrounding whitespace."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return [line.strip() for line in f]
+    except UnicodeDecodeError as exc:
+        raise CorpusFormatError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def load_parallel(src_path, tgt_path) -> list[ParallelExample]:

@@ -17,7 +17,8 @@ the gradient they are given, since it may be shared with other nodes.
 An embedding table's gradient is a `RowGrad`: the rows a lookup reached,
 by sorted distinct id, where a dense `[V, d]` array would be mostly zeros
 (a 50,257-row table gets under 0.3% of its rows from a batch). `backward`
-stores it as it is in `Tensor.stored_grad`; `Tensor.grad` reads it dense.
+stores it as it is in `Tensor.stored_grad`; `Tensor.grad` returns a dense
+copy of it and leaves it stored as it was.
 """
 
 from __future__ import annotations
@@ -97,10 +98,9 @@ class Tensor:
 
     @property
     def grad(self) -> np.ndarray | None:
-        """dloss/dself as a dense array; a RowGrad is densified on first read, and kept."""
-        if isinstance(self.stored_grad, RowGrad):
-            self.stored_grad = self.stored_grad.dense()
-        return self.stored_grad
+        """dloss/dself as a dense array; a RowGrad is densified afresh on each read."""
+        g = self.stored_grad
+        return g.dense() if isinstance(g, RowGrad) else g
 
     @grad.setter
     def grad(self, value: np.ndarray | None) -> None:
@@ -313,13 +313,14 @@ def cross_entropy(x: Tensor, targets: np.ndarray, ignore_id: int,
                   weight: Tensor | None = None, bias: Tensor | None = None) -> Tensor:
     """Mean negative log-likelihood over positions whose target != ignore_id.
 
-    The logits are x itself, or with `weight` [d, V] (and `bias` [V]) the output
+    The logits are x itself, or with `weight` [d, V] and `bias` [V] the output
     projection x @ weight + bias, which is never built whole. Both passes run over
     `_CHUNK` vocabulary columns at a time: the forward keeps each row's running max,
     its rescaled sum of exps and its target logit (an online softmax); the backward
-    recomputes each chunk's logits and turns them into softmax minus one-hot. With
-    one chunk the forward's logits are kept for the backward instead, and the
-    arithmetic, and so every byte, is that of the whole-row formula.
+    recomputes each chunk's logits and turns them into softmax minus one-hot. Given
+    logits are one chunk, as is a projection of one chunk's columns: the forward's
+    logits are kept for the backward, and the arithmetic, and so every byte, is that
+    of the whole-row formula.
     """
     targets = np.asarray(targets)
     if targets.shape != x.shape[:-1]:
@@ -330,21 +331,22 @@ def cross_entropy(x: Tensor, targets: np.ndarray, ignore_id: int,
     if weight is not None and (weight.data.ndim != 2 or weight.shape[0] != x.shape[-1]):
         raise ShapeError(f"cross_entropy weight {weight.shape} does not fit inputs {x.shape}")
     vocab = x.shape[-1] if weight is None else weight.shape[1]
-    if bias is not None and (weight is None or bias.shape != (vocab,)):
-        raise ShapeError(f"cross_entropy bias {bias.shape} needs a weight of {vocab} columns")
+    if (bias is None) != (weight is None) or bias is not None and bias.shape != (vocab,):
+        raise ShapeError(f"cross_entropy takes a bias of {vocab} entries exactly when it "
+                         f"takes a weight, got {None if bias is None else bias.shape}")
     if targets[valid].min() < 0 or targets[valid].max() >= vocab:
         raise ShapeError(f"target id out of range for vocab of {vocab}")
     x2 = x.data.reshape(-1, x.shape[-1])
     safe = np.where(valid, targets, 0).reshape(-1)
-    chunks = [(lo, min(lo + _CHUNK, vocab)) for lo in range(0, vocab, _CHUNK)]
+    step = vocab if weight is None else _CHUNK
+    chunks = [(lo, min(lo + step, vocab)) for lo in range(0, vocab, step)]
 
     def logits(lo, hi):
-        """The chunk's logits: a view of x, or a fresh array the caller may write."""
+        """The chunk's logits: x's own, or a fresh array the caller may write."""
         if weight is None:
-            return x2[:, lo:hi]
+            return x2
         c = x2 @ weight.data[:, lo:hi]
-        if bias is not None:
-            c += bias.data[lo:hi]
+        c += bias.data[lo:hi]
         return c
 
     def hits(lo, hi):
@@ -373,33 +375,26 @@ def cross_entropy(x: Tensor, targets: np.ndarray, ignore_id: int,
 
     def bw(g):
         row_scale = (valid.reshape(-1) * (g / n))[:, None]
-        gx = gw = gb = None
-        if weight is None:
-            gx = np.empty_like(x2)  # each chunk's gradient is written straight into it
-        else:
+        gx = None
+        if weight is not None:
             gw, gb = np.empty(weight.shape), np.empty(vocab)
         for lo, hi in chunks:
             c = logits(lo, hi) if kept is None else kept
             # Kept logits are only read, so the backward gives the same on every call.
-            out = gx[:, lo:hi] if weight is None else c if kept is None else None
-            c = np.subtract(c, m[:, None], out=out)
+            c = np.subtract(c, m[:, None], out=c if kept is None else None)
             c -= lse[:, None]
             np.exp(c, out=c)
             c[hits(lo, hi)] -= 1.0
             c *= row_scale
             if weight is None:
-                continue
+                return (c.reshape(x.shape),)
             part = c @ weight.data[:, lo:hi].T
-            if gx is None:
-                gx = part
-            else:
-                gx += part
+            gx = part if gx is None else np.add(gx, part, out=gx)
             gw[:, lo:hi] = x2.T @ c
             gb[lo:hi] = c.sum(axis=0)
-        return (gx.reshape(x.shape), gw, gb)[:len(parents)]
+        return gx.reshape(x.shape), gw, gb
 
-    parents = tuple(t for t in (x, weight, bias) if t is not None)
-    return _result(out, parents, bw)
+    return _result(out, (x,) if weight is None else (x, weight, bias), bw)
 
 
 def backward(loss: Tensor) -> None:

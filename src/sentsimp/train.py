@@ -1,13 +1,14 @@
 """Teacher-forced training: AdamW, one-cycle LR, early stopping on SARI.
 
 Training updates the model's payload in place. The optimiser keeps both
-Adam moments in two buffers of the payload's layout, which it takes from
-the config (see `OptState`), and updates the dense parameters in spans, a
-block at a time: each maximal run of adjacent parameters smaller than one
-block is one contiguous run of the payload, both moments and a gradient
-buffer the step copies their gradients into, and a larger parameter is a
-span of its own whose gradient is read in place, so the buffer stays the
-size of the small parameters (1.3 MB at toy width) at any vocabulary. An
+Adam moments, and a buffer for gradients, in three mappings of the
+payload's layout, which it takes from the config (see `OptState`), and
+updates the dense parameters in spans, a block at a time: each maximal run
+of adjacent parameters smaller than one block is one contiguous run of the
+payload, of both moments and of the gradient buffer, which the step copies
+their gradients into; a larger parameter is a span of its own whose
+gradient is read in place, so only the small parameters' part of the
+buffer (1.3 MB at toy width) is ever touched, at any vocabulary. An
 embedding table's gradient stays in the row form `backward` gives it
 (`tensor.RowGrad`): the clip norm and the update read only the rows a
 batch reached. Each block the update writes is checked finite right after
@@ -95,19 +96,19 @@ class TrainConfig:
 
 class Span(NamedTuple):
     """Adjacent dense parameters that AdamW updates as one run of the payload."""
-    at: slice                   # the span's entries of the payload and of both moments
+    at: slice                   # its entries of the payload and of each OptState arena
     names: tuple[str, ...]      # its parameters, in header order
-    grad: np.ndarray | None     # its gradient buffer; None for a span of one parameter
     decayed: tuple[tuple[int, int], ...]  # its runs of decayed parameters, span offsets
 
 
 @dataclass
 class OptState:
-    """AdamW's state over one model: both Adam moments in buffers of the payload's
-    layout (`m_arena`, `v_arena`), and the step count `t`. Each buffer is an anonymous
-    mapping advised off huge pages (`_zeros`), so a table's moment rows take memory
-    only once they go live: 4 KB pages, where a 2 MB huge page would be faulted in
-    whole for one row.
+    """AdamW's state over one model: both Adam moments (`m_arena`, `v_arena`) and a
+    gradient buffer (`g_arena`) in the payload's layout, and the step count `t`. Each is
+    an anonymous mapping advised off huge pages (`_zeros`), so its pages take memory
+    only once written: a table's moment rows once they go live, 4 KB pages where a 2 MB
+    huge page would be faulted in whole for one row, and of the gradient buffer only
+    the spans of several parameters.
 
     `tables` maps each embedding table (`_emb`) to its views of both moment buffers and
     a live flag per row, set once a gradient row that is not all zero has reached it,
@@ -117,11 +118,12 @@ class OptState:
 
     `spans` covers every other parameter, in header order: a maximal run of adjacent
     parameters smaller than one block (`_ADAMW_BLOCK`) is one span, and a larger one is
-    a span of its own. A span of several parameters has its own view of one gradient
-    buffer; a span of one reads that parameter's gradient in place. Weight decay
-    applies to all but the layer norms (`.ln`)."""
+    a span of its own. A span of several parameters copies their gradients into its
+    run of `g_arena`; a span of one reads that parameter's gradient in place. Weight
+    decay applies to all but the layer norms (`.ln`)."""
     m_arena: np.ndarray
     v_arena: np.ndarray
+    g_arena: np.ndarray
     tables: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]
     spans: list[Span]
     t: int = 0
@@ -188,13 +190,12 @@ def _zeros(n: int) -> np.ndarray:
 
 
 def init_opt_state(model: Model) -> OptState:
-    """Zero both moments in the payload's layout, with no table row live, and lay out the
-    spans and their gradient buffer. Each moment buffer is a fresh mapping (`_zeros`), so
-    the moments of table rows that never go live cost no memory. The gradient buffer
-    holds only the spans of several parameters: a large parameter's gradient is read in
-    place, so the buffer never grows with the vocabulary."""
+    """Zero both moments and the gradient buffer in the payload's layout, with no table
+    row live, and lay out the spans. Each is a fresh mapping (`_zeros`), so the moments
+    of table rows that never go live cost no memory, nor does the gradient buffer
+    outside the spans of several parameters, the only ones a step copies into."""
     shapes = param_shapes(model.config)
-    m_arena, v_arena = _zeros(model.payload.size), _zeros(model.payload.size)
+    m_arena, v_arena, g_arena = (_zeros(model.payload.size) for _ in range(3))
     ms, vs = param_views(m_arena, shapes), param_views(v_arena, shapes)
     tables = {n: (ms[n], vs[n], np.zeros(s[0], dtype=bool))
               for n, s in shapes.items() if n.endswith("_emb")}
@@ -207,18 +208,13 @@ def init_opt_state(model: Model) -> OptState:
         name, lo, hi = entry
         return "table" if name in tables else "small" if hi - lo < _ADAMW_BLOCK else name
 
-    groups = [list(g) for k, g in groupby(layout, kind) if k != "table"]
-    buffer = np.empty(sum(g[-1][2] - g[0][1] for g in groups if len(g) > 1))
-    spans, used = [], 0
-    for group in groups:
+    spans = []
+    for group in (list(g) for k, g in groupby(layout, kind) if k != "table"):
         lo, hi = group[0][1], group[-1][2]
-        grad = None
-        if len(group) > 1:
-            grad, used = buffer[used:used + hi - lo], used + hi - lo
         runs = [list(r) for decays, r in groupby(group, lambda e: ".ln" not in e[0]) if decays]
         decayed = tuple((r[0][1] - lo, r[-1][2] - lo) for r in runs)
-        spans.append(Span(slice(lo, hi), tuple(n for n, _, _ in group), grad, decayed))
-    return OptState(m_arena, v_arena, tables, spans)
+        spans.append(Span(slice(lo, hi), tuple(n for n, _, _ in group), decayed))
+    return OptState(m_arena, v_arena, g_arena, tables, spans)
 
 
 def _finite(block: np.ndarray) -> None:
@@ -276,12 +272,12 @@ def adamw_step(model: Model, state: OptState, lr: float, cfg: TrainConfig,
     a multiply by 0.0, which would turn a -0.0 parameter into +0.0).
 
     Each span (see OptState) is one run of `_adam`: the gradients of a span of several
-    parameters are first copied into its buffer, never aliased. On an embedding table
-    the Adam step runs on the live rows only, gathered and scattered back, and every row
-    then gets the decay: for a row that is not live the full arithmetic would subtract
-    +0.0, so the bytes are those of the dense update. A table's gradient is read as its
-    RowGrad, never densified; a dense one, as a caller may assign, is first cut to its
-    nonzero rows.
+    parameters are first copied into its run of `g_arena`, never aliased. On an
+    embedding table the Adam step runs on the live rows only, gathered and scattered
+    back, and every row then gets the decay: for a row that is not live the full
+    arithmetic would subtract +0.0, so the bytes are those of the dense update. A
+    table's gradient is read as its RowGrad, never densified; a dense one, as a caller
+    may assign, is first cut to its nonzero rows.
 
     Each block is checked finite once written (NonFiniteError), which leaves the
     payload partly updated; nothing is written before every gradient is checked present
@@ -297,11 +293,11 @@ def adamw_step(model: Model, state: OptState, lr: float, cfg: TrainConfig,
         grads[name] = g
     state.t += 1
     decay = lr * cfg.weight_decay
-    for at, names, grad, decayed in state.spans:
-        if grad is None:
+    for at, names, decayed in state.spans:
+        if len(names) == 1:
             g = grads[names[0]].reshape(-1)
         else:
-            g = np.concatenate([grads[n] for n in names], axis=None, out=grad)
+            g = np.concatenate([grads[n] for n in names], axis=None, out=state.g_arena[at])
         _adam(model.payload[at], g, state.m_arena[at], state.v_arena[at], lr, state.t, cfg,
               factor, decay, decayed)
     for name, (m, v, live) in state.tables.items():

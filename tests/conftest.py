@@ -33,6 +33,13 @@ def make_toy_pairs(n: int, seed: int = 0) -> list[tuple[str, str]]:
     return _TOY.make_pairs(n, seed)
 
 
+def ragged_pairs(n: int, seed: int = 0) -> list[tuple[str, str]]:
+    """Toy pairs cut to sources of 6-9 words and targets of 6-8, so their batches hold
+    pads: every toy pair has one length."""
+    return [(" ".join(s.split()[:9 - i % 4]), " ".join(t.split()[:8 - i % 3]))
+            for i, (s, t) in enumerate(make_toy_pairs(n, seed))]
+
+
 def write_corpus(dirpath: Path, stem: str, pairs, n_refs: int = 1) -> None:
     """Write <stem>.src, <stem>.tgt and <stem>.ref.0..n_refs-1 (refs copy tgt)."""
     _TOY.write_split(dirpath, stem, pairs, n_refs)

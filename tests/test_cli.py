@@ -497,6 +497,47 @@ class TestReport:
         assert str(d / "report.json") in one_error_line(capsys)
         assert not (tmp_path / "cmp").exists()
 
+    @pytest.mark.parametrize("text", [
+        "[" * 200_000,
+        '{"label": "x", "sari": 1e999, "add": 1.0, "keep": 1.0, "delete": 1.0}',
+        '{"label": "x", "sari": 1.0, "add": NaN, "keep": 1.0, "delete": 1.0}',
+        '{"label": "x", "sari": 1.0, "add": 1.0, "keep": 100.5, "delete": 1.0}',
+        '{"label": "x", "sari": 1.0, "add": 1.0, "keep": 1.0, "delete": -0.5}',
+    ], ids=["deeply_nested", "infinite_score", "nan_score", "score_above_100",
+            "score_below_0"])
+    def test_hostile_json_exits_2(self, text, tmp_path, capsys):
+        d = tmp_path / "run"
+        d.mkdir()
+        (d / "report.json").write_text(text)
+        assert main(["report", str(d)]) == 2
+        assert str(d / "report.json") in one_error_line(capsys)
+
+
+@pytest.mark.parametrize("case", ["train_src", "valid_src", "config", "simplify_input",
+                                  "eval_system"])
+def test_text_input_that_is_not_utf8_is_named(case, trained_run, corpus_dir, tmp_path,
+                                              capsys, monkeypatch):
+    """Each text input that is not UTF-8 ends in one `error:` line that names it."""
+    monkeypatch.setattr(cli, "train_loop", lambda *a: pytest.fail("train_loop called"))
+    write_corpus(tmp_path, "valid", make_toy_pairs(4, seed=1))
+    bad = tmp_path / ("valid.src" if case == "valid_src" else "bad.txt")
+    bad.write_bytes(b"\xff the cat\n")
+    train = ["train", "--train-src", str(corpus_dir / "train.src"),
+             "--train-tgt", str(corpus_dir / "train.tgt"),
+             "--valid-stem", str(tmp_path / "valid"), "--out", str(tmp_path / "out")]
+    argv = {
+        "train_src": train[:2] + [str(bad)] + train[3:],
+        "valid_src": train,
+        "config": train + ["--config", str(bad)],
+        "simplify_input": ["simplify", "--checkpoint", str(trained_run / "checkpoint.bin"),
+                           "--input", str(bad), "--output", str(tmp_path / "o.txt")],
+        "eval_system": ["eval", "--system", str(bad), "--eval-stem", str(corpus_dir / "test"),
+                        "--out", str(tmp_path / "out")],
+    }[case]
+    assert main(argv) == 2
+    assert str(bad) in one_error_line(capsys)
+    assert not (tmp_path / "out").exists() and not (tmp_path / "o.txt").exists()
+
 
 _VALUES = st.one_of(st.text(max_size=12), st.integers().map(str), st.floats().map(repr),
                    st.sampled_from(["", "none", "bert", "gpt2+bert", "toy", "paper"]))

@@ -13,7 +13,7 @@ from sentsimp.model import (VARIANTS, DecoderCache, decoder_logits, encode_sourc
 from sentsimp.tensor import Tensor
 from sentsimp.tokenizer import build_vocab, decode, encode
 
-from conftest import make_toy_pairs, toy_model_config, toy_vocab
+from conftest import make_toy_pairs, ragged_pairs, toy_model_config, toy_vocab
 
 BOS, EOS = 1, 2
 
@@ -251,6 +251,22 @@ class TestAgainstRandomModels:
         step, _ = _cached_step(model, vocab, [src], greedy)
         assert simplify(model, vocab, src, beam) == \
             decode(vocab, beam_ids(step, vocab.bos_id, vocab.eos_id, 10, 3))
+
+
+@pytest.mark.parametrize("variant", ["bert", "gpt2"])
+def test_batched_greedy_on_ragged_sources_matches_per_line(variant):
+    """Sources of 1 to 9 words decoded in one padded batch give each line's own greedy
+    output. The weights are ten times their initial scale, so that each source steers
+    its output and the rows end at different steps; at the initial scale every line
+    decodes to the same two words."""
+    pairs = ragged_pairs(8)
+    vocab = toy_vocab(pairs)
+    model = init_model(variant_config(variant, "toy", vocab.size), 3)
+    model.payload *= 10.0
+    sources = [" ".join(s.split()[:k]) for (s, _), k in zip(pairs, (9, 2, 7, 1, 5, 8, 4, 6))]
+    cfg = DecodeConfig(max_len=16)
+    singles = [simplify(model, vocab, s, cfg) for s in sources]
+    assert greedy_decode_batch(model, vocab, sources, cfg) == singles
 
 
 @pytest.mark.parametrize("masking", ["bidirectional", "causal"])

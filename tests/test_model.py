@@ -12,7 +12,7 @@ from sentsimp.model import (BIDIRECTIONAL, CAUSAL, GPT2_VOCAB, INIT_STD, Model, 
 from sentsimp.tensor import Tensor
 from sentsimp.train import TrainConfig, adamw_step, init_opt_state
 
-from conftest import random_batch, toy_model_config
+from conftest import ragged_pairs, random_batch, tokenized_batches, toy_model_config, toy_vocab
 from gradcheck import grad_check_params
 
 
@@ -356,6 +356,39 @@ class TestMaskingSemantics:
         for name in bert.params:
             assert np.array_equal(bert.params[name].data, gpt2.params[name].data)
         assert not np.array_equal(forward(bert, batch).data, forward(gpt2, batch).data)
+
+
+@pytest.mark.parametrize("variant", ["bert", "gpt2"])
+def test_padded_batch_is_the_token_weighted_sum_of_its_rows(variant):
+    """A batch of ragged pairs, padded, gives the mean of each row's loss computed alone
+    with no pad, weighted by the row's target tokens, and each parameter's gradient is
+    the same weighted sum of the rows' gradients: pads reach neither. Gradients are
+    compared against the largest of them all, since a key bias's is rounding noise: a
+    softmax does not change when one constant is added to every score."""
+    pairs = ragged_pairs(8)
+    vocab = toy_vocab(pairs)
+    model = init_model(variant_config(variant, "toy", vocab.size), 0)
+
+    def loss_and_grads(batch):
+        T.zero_grad(model.parameters())
+        loss = forward(model, batch, ignore_id=vocab.pad_id)
+        T.backward(loss)
+        return loss.item(), {n: p.grad for n, p in model.params.items()}
+
+    (batch,) = tokenized_batches(pairs, vocab, batch_size=8)
+    real = batch.target_out_ids != vocab.pad_id
+    assert not batch.source_pad_mask.all() and not real.all()
+    loss, grads = loss_and_grads(batch)
+    want_loss, want = 0.0, dict.fromkeys(grads, 0.0)
+    for row in tokenized_batches(pairs, vocab, batch_size=1):
+        share = (row.target_out_ids != vocab.pad_id).sum() / real.sum()
+        row_loss, row_grads = loss_and_grads(row)
+        want_loss += share * row_loss
+        want = {n: want[n] + share * g for n, g in row_grads.items()}
+    assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+    largest = max(np.abs(g).max() for g in want.values())
+    for name, g in grads.items():
+        assert np.abs(g - want[name]).max() <= 1e-12 * largest, name
 
 
 def test_gradients_flow_to_every_parameter():

@@ -264,6 +264,34 @@ class TestCrossEntropy:
         assert np.all(ignored == 0.0)
         assert np.signbit(ignored).any() and not np.signbit(ignored).all()
 
+    def test_given_logits_are_reduced_whole_at_any_vocabulary(self, monkeypatch):
+        """Logits passed in are one chunk however many `_CHUNK`s they span: over 11
+        words at chunks of 4 the loss and the gradient have the bytes of the whole-row
+        formula."""
+        monkeypatch.setattr(T, "_CHUNK", 4)
+        x = np.random.default_rng(4).normal(size=(3, 4, 11)) * 3.0
+        targets = np.array([[4, 7, 0, 10], [8, 3, 0, 0], [1, 4, 10, 7]])
+        logits = tensor(x, rg=True)
+        loss = T.cross_entropy(logits, targets, ignore_id=0)
+        backward(T.scale(loss, -2.0))
+
+        x2, valid = x.reshape(-1, 11), (targets != 0).reshape(-1)
+        rows, safe = np.arange(12), np.where(valid, targets.reshape(-1), 0)
+        top = x2.max(axis=1)
+        z = x2 - top[:, None]
+        lse = np.log(np.exp(z).sum(axis=1))
+        nll = np.where(valid, lse - (x2[rows, safe] - top), 0.0)
+        assert loss.data.tobytes() == np.asarray(nll.sum() / valid.sum()).tobytes()
+        want = np.exp(z - lse[:, None])
+        want[rows, safe] -= 1.0
+        want *= (valid * (-2.0 / valid.sum()))[:, None]
+        assert logits.grad.tobytes() == want.reshape(x.shape).tobytes()
+
+    def test_a_weight_needs_a_bias(self):
+        x, w = tensor(np.zeros((1, 2, 3))), tensor(np.zeros((3, 5)))
+        with pytest.raises(ShapeError, match="bias"):
+            T.cross_entropy(x, np.array([[1, 2]]), 0, w)
+
 
 class TestChunkedCrossEntropy:
     """cross_entropy over vocabulary chunks, and with the output projection fused in,
@@ -382,8 +410,8 @@ class TestEmbeddingRowGrad:
         assert isinstance(g, T.RowGrad) and g.ids.tolist() == [0, 3, 7, 12]
         assert not g.rows[0].any()
         assert g.dense().tobytes() == want.tobytes()
-        assert table.grad.tobytes() == want.tobytes()  # dense on read, and kept dense
-        assert isinstance(table.stored_grad, np.ndarray)
+        assert table.grad.tobytes() == want.tobytes()  # dense on read
+        assert table.stored_grad is g  # and it stays a RowGrad
 
     def test_two_lookups_of_one_table_merge_to_the_dense_sum(self):
         table = self.table()

@@ -29,8 +29,8 @@ from sentsimp.train import (Checkpoint, CheckpointFormatError, EpochRecord, Trai
 from sentsimp.tokenizer import SPECIALS, Vocabulary, build_vocab
 from sentsimp.decoding import DecodeConfig, simplify
 
-from conftest import (make_toy_pairs, random_batch, tokenized_batches, toy_model_config,
-                      toy_vocab)
+from conftest import (make_toy_pairs, ragged_pairs, random_batch, tokenized_batches,
+                      toy_model_config, toy_vocab)
 
 
 class TestOneCycle:
@@ -242,6 +242,26 @@ class TestAdamW:
         adamw_step(reference, init_opt_state(reference), 1e-3, TrainConfig(), 0.5)
         assert reference.payload.tobytes() == model.payload.tobytes()
 
+    def test_reading_gradients_changes_no_step(self):
+        """Reading every parameter's `grad` after backward, as a gradient check does,
+        leaves each table's stored gradient a RowGrad, and clip_gradients and adamw_step
+        then give the bytes of a step without the reads."""
+        pairs = ragged_pairs(16)
+        vocab = toy_vocab(pairs)
+        batch = tokenized_batches(pairs, vocab, batch_size=8)[0]
+        steps = []
+        for read in (False, True):
+            model = init_model(toy_model_config(vocab.size), 0)
+            T.backward(forward(model, batch, ignore_id=vocab.pad_id))
+            if read:
+                assert all(isinstance(p.grad, np.ndarray) for p in model.parameters())
+                assert all(isinstance(model.params[n].stored_grad, T.RowGrad)
+                           for n in model.params if n.endswith("_emb"))
+            norm = clip_gradients(model)
+            adamw_step(model, init_opt_state(model), 1e-3, TrainConfig(), 0.5)
+            steps.append((norm, model.payload.tobytes()))
+        assert steps[0] == steps[1]
+
     def test_blocked_update_matches_whole_array_recurrence(self):
         """Updating each parameter a block at a time, the embedding tables' live
         rows only, gives exactly the bytes of the per-parameter whole-array formula on
@@ -319,15 +339,15 @@ class TestAdamW:
                 param.data[:] += rng.normal(size=param.shape)
         model.params["enc.0.ln2.bias"].data[::2] = -0.0
         state, tc = init_opt_state(model), TrainConfig()
-        # Each span as (first parameter, parameters, gradient read in place).
-        assert [(s.names[0], len(s.names), s.grad is None) for s in state.spans] == [
-            ("enc.0.attn.wq", 10, False), ("enc.0.ff.w1", 1, True), ("enc.0.ff.b1", 1, True),
-            ("enc.0.ff.w2", 1, True), ("enc.0.ff.b2", 23, False), ("dec.0.ff.w1", 1, True),
-            ("dec.0.ff.b1", 1, True), ("dec.0.ff.w2", 1, True), ("dec.0.ff.b2", 3, False),
-            ("out.w", 1, True), ("out.b", 1, True)]
-        buffers = [s.grad for s in state.spans if s.grad is not None]
-        assert [b.size for b in buffers] == [88, 188, 12]
-        assert_laid_end_to_end(buffers[0].base, buffers)
+        # Each span as (first parameter, parameters, entries); a span of one parameter
+        # reads its gradient in place, and the others copy theirs into their run of
+        # g_arena, the payload's layout.
+        assert [(s.names[0], len(s.names), s.at.stop - s.at.start) for s in state.spans] == [
+            ("enc.0.attn.wq", 10, 88), ("enc.0.ff.w1", 1, 68), ("enc.0.ff.b1", 1, 17),
+            ("enc.0.ff.w2", 1, 68), ("enc.0.ff.b2", 23, 188), ("dec.0.ff.w1", 1, 68),
+            ("dec.0.ff.b1", 1, 17), ("dec.0.ff.w2", 1, 68), ("dec.0.ff.b2", 3, 12),
+            ("out.w", 1, 92), ("out.b", 1, 23)]
+        assert state.g_arena.shape == model.payload.shape
         # enc.0.ff.b2, then dec.0.self and dec.0.cross, each ended by a layer norm.
         assert state.spans[4].decayed == ((0, 4), (12, 92), (100, 180))
         p = {n: t.data.copy() for n, t in model.params.items()}
