@@ -467,16 +467,20 @@ def _declared_shapes(config: ModelConfig, n_tokens: int, params: dict | None = N
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """Write `ckpt` through `staged_write`, its payload in one call. The payload must hold
     exactly the values of the params its config declares, and the vocabulary its size, as
-    `load_checkpoint` demands; a mismatch raises CheckpointFormatError before the file is
-    opened."""
-    shapes = _declared_shapes(ckpt.config, ckpt.vocab.size)
+    `load_checkpoint` demands, and the vocabulary distinct tokens led by the specials; a
+    mismatch raises CheckpointFormatError before the file is opened."""
+    vocab = ckpt.vocab
+    if len(vocab.token_to_id) != vocab.size or vocab.id_to_token[:4] != SPECIALS:
+        raise CheckpointFormatError("checkpoint vocabulary is not distinct tokens led by the "
+                                    "specials")
+    shapes = _declared_shapes(ckpt.config, vocab.size)
     count = sum(math.prod(s) for s in shapes.values())
     if ckpt.payload.shape != (count,):
         raise CheckpointFormatError(f"checkpoint payload has shape {ckpt.payload.shape}, "
                                     f"its config's params need ({count},)")
     header = json.dumps({
         "config": asdict(ckpt.config),
-        "vocab": list(ckpt.vocab.id_to_token),
+        "vocab": list(vocab.id_to_token),
         # As asdict would give it, at a fiftieth of the cost over a 20-epoch history.
         "history": {**vars(ckpt.history), "epochs": [vars(r) for r in ckpt.history.epochs]},
         "params": shapes,

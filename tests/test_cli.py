@@ -354,6 +354,19 @@ class TestSimplify:
         n_in = len((corpus_dir / "test.src").read_text().splitlines())
         assert len(out_file.read_text().splitlines()) == n_in
 
+    def test_corpus_words_spelled_like_specials(self, tmp_path):
+        """Such words train into a checkpoint that loads: they are unk, not specials."""
+        pairs = [("the <unk> cat sat down", "the cat <PAD> sat"),
+                 ("a <eos> dog ran <bos> off", "a dog <UNK> ran")]
+        (tmp_path / "train.src").write_text("".join(s + "\n" for s, _ in pairs))
+        (tmp_path / "train.tgt").write_text("".join(t + "\n" for _, t in pairs))
+        write_corpus(tmp_path, "valid", pairs)
+        assert main(train_args(tmp_path, tmp_path / "run")) == 0
+        out_file = tmp_path / "sys.txt"
+        assert main(["simplify", "--checkpoint", str(tmp_path / "run" / "checkpoint.bin"),
+                     "--input", str(tmp_path / "valid.src"), "--output", str(out_file)]) == 0
+        assert len(out_file.read_text().splitlines()) == len(pairs)
+
     def test_empty_input(self, trained_run, tmp_path):
         empty = tmp_path / "empty.txt"
         empty.write_text("")

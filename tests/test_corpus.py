@@ -1,14 +1,30 @@
 import logging
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sentsimp import corpus as C
+from sentsimp.tokenizer import TokenSequence
 
 
 def write(path, lines):
     path.write_text("".join(line + "\n" for line in lines))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: C.ParallelExample("one", "1"),
+    lambda: C.EvalExample("one", ("1", "uno")),
+    lambda: TokenSequence((1, 4, 2), truncated=False),
+], ids=["ParallelExample", "EvalExample", "TokenSequence"])
+def test_records_are_frozen_slotted_values(make):
+    record, twin = make(), make()
+    assert record == twin and record is not twin
+    assert not hasattr(record, "__dict__")
+    field = type(record).__slots__[0]
+    with pytest.raises(FrozenInstanceError):
+        setattr(record, field, getattr(record, field))
 
 
 class TestLoadParallel:

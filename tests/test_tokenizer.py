@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -43,6 +45,11 @@ class TestBuildVocab:
         ids = {vocab.pad_id, vocab.bos_id, vocab.eos_id, vocab.unk_id}
         assert ids == {0, 1, 2, 3}
 
+    def test_words_spelled_like_specials_not_ranked(self):
+        vocab = tok.build_vocab(["the <unk> cat", "a <pad> dog <UNK>"], 100)
+        assert vocab.id_to_token == (*tok.SPECIALS, "a", "cat", "dog", "the")
+        assert vocab.size == len(vocab.token_to_id) == 8
+
 
 class TestEncode:
     @pytest.fixture
@@ -64,6 +71,12 @@ class TestEncode:
     def test_unknown_token(self, vocab):
         seq = tok.encode(vocab, "zyzzyva", max_len=80)
         assert seq.ids == (vocab.bos_id, vocab.unk_id, vocab.eos_id)
+
+    def test_words_spelled_like_specials_are_unk(self, vocab):
+        seq = tok.encode(vocab, "the <pad> <BOS> cat <eos> <Unk>", max_len=80)
+        unk = vocab.unk_id
+        assert seq.ids == (vocab.bos_id, vocab.token_to_id["the"], unk, unk,
+                           vocab.token_to_id["cat"], unk, unk, vocab.eos_id)
 
     def test_max_len_floor(self, vocab):
         with pytest.raises(ValueError):
@@ -101,3 +114,35 @@ def test_round_trip_for_in_vocab_text(words):
     assert len(seq.ids) <= 80
     assert tok.decode(vocab, list(seq.ids)) == text
 
+
+
+def oracle_vocab(corpus: list[str], max_size: int, min_freq: int) -> tok.Vocabulary:
+    """A count per line, then one sort on (-count, token), words spelled like specials
+    left out."""
+    counts = Counter()
+    for line in corpus:
+        counts.update(tok.tokenize(line))
+    ranked = sorted(
+        (w for w, c in counts.items() if c >= min_freq and w not in tok.SPECIALS),
+        key=lambda w: (-counts[w], w),
+    )
+    tokens = list(tok.SPECIALS) + ranked[: max_size - len(tok.SPECIALS)]
+    return tok.Vocabulary({w: i for i, w in enumerate(tokens)}, tuple(tokens))
+
+
+# Few letters, so counts tie; mixed case and letters whose lowercase differs in length
+# or is itself ("İ", "ß"), so ranking happens on lowercased tokens.
+WORDS = st.one_of(st.text("abAB\u03a3\u03c3\u0130\u00df", min_size=1, max_size=3),
+                  st.sampled_from(["<unk>", "<UNK>", "<pad>", "<Bos>", "<eos>", "<s>"]))
+
+
+@given(corpus=st.lists(st.lists(WORDS, max_size=8).map(" ".join), min_size=1, max_size=12),
+       max_size=st.integers(5, 40), min_freq=st.integers(1, 3))
+@settings(max_examples=200, deadline=None)
+def test_build_vocab_matches_per_line_count_and_key_sort(corpus, max_size, min_freq):
+    vocab = tok.build_vocab(corpus, max_size, min_freq)
+    want = oracle_vocab(corpus, max_size, min_freq)
+    assert vocab.id_to_token == want.id_to_token
+    assert vocab.token_to_id == want.token_to_id
+    for line in corpus:
+        assert min(tok.encode(vocab, line, 80).ids[1:-1], default=vocab.unk_id) >= vocab.unk_id

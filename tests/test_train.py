@@ -790,6 +790,18 @@ class TestCheckpointIO:
         assert path.read_bytes() == raw
         assert list(tmp_path.iterdir()) == [path]
 
+    @pytest.mark.parametrize("edit", [
+        lambda t: t[:4] + (t[3],) + t[5:],
+        lambda t: (t[1], t[0]) + t[2:],
+    ], ids=["repeated_token", "specials_out_of_order"])
+    def test_vocabulary_load_would_refuse_is_not_saved(self, edit, tmp_path):
+        ckpt, _, _ = self.make_checkpoint()
+        tokens = edit(ckpt.vocab.id_to_token)
+        ckpt.vocab = Vocabulary({w: i for i, w in enumerate(tokens)}, tokens)
+        with pytest.raises(CheckpointFormatError, match="not distinct tokens led by the specials"):
+            save_checkpoint(ckpt, tmp_path / "ck.bin")
+        assert list(tmp_path.iterdir()) == []
+
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
