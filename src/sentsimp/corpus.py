@@ -2,8 +2,8 @@
 
 Corpus files are plain UTF-8 text, one sentence per line (LF or CRLF).
 Evaluation sets follow the <stem>.src / <stem>.ref.0 ... naming scheme.
-The records are frozen dataclasses with slots and no `__dict__`: each is one
-allocation, not two, which counts when a corpus holds tens of thousands of
+The records are frozen dataclasses with slots and no `__dict__`, smaller and
+quicker to build, which counts when a corpus holds tens of thousands of
 pairs.
 """
 

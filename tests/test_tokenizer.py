@@ -115,7 +115,6 @@ def test_round_trip_for_in_vocab_text(words):
     assert tok.decode(vocab, list(seq.ids)) == text
 
 
-
 def oracle_vocab(corpus: list[str], max_size: int, min_freq: int) -> tok.Vocabulary:
     """A count per line, then one sort on (-count, token), words spelled like specials
     left out."""
@@ -130,8 +129,8 @@ def oracle_vocab(corpus: list[str], max_size: int, min_freq: int) -> tok.Vocabul
     return tok.Vocabulary({w: i for i, w in enumerate(tokens)}, tuple(tokens))
 
 
-# Few letters, so counts tie; mixed case and letters whose lowercase differs in length
-# or is itself ("İ", "ß"), so ranking happens on lowercased tokens.
+# Few letters, so counts tie. Mixed case, Σ beside σ, İ (lowercased to two code points)
+# and ß (its own lowercase), so tokens merge and order only after lowercasing.
 WORDS = st.one_of(st.text("abAB\u03a3\u03c3\u0130\u00df", min_size=1, max_size=3),
                   st.sampled_from(["<unk>", "<UNK>", "<pad>", "<Bos>", "<eos>", "<s>"]))
 
