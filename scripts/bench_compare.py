@@ -6,7 +6,8 @@
 For each workload and each end-to-end metric of BENCHMARK.json it prints
 each side's median and quartiles (statistics.quantiles, n=4, as
 sentbench/spread.py takes them), the change's median over the parent's,
-and how many pairs the change wins. Runs of one seed pair up in file
+the median and quartiles of the per-pair ratios (change over parent), and
+how many pairs the change wins. Runs of one seed pair up in file
 order; a tie counts for neither side. Two verdicts follow:
 
 * gain: "yes" when at least 10 pairs ran, the change wins at least nine
@@ -69,6 +70,7 @@ def compare(runs: list[dict], metric: dict) -> dict:
         bound = "ok"
     return {"pairs": len(matched), "parent": parent, "change": change, "wins": wins,
             "ratio": change[1] / parent[1] if parent[1] else float("nan"),
+            "pair_ratios": quartiles([c / p if p else float("nan") for p, c in matched]),
             "gain": len(matched) >= MIN_PAIRS and wins >= WIN_SHARE * len(matched)
             and gain > spread,
             "bound": bound}
@@ -89,13 +91,16 @@ def main() -> int:
     for workload, runs in bench["workloads"].items():
         print(f"\n{workload}")
         print(f"{'metric':<20} {'parent median [q1, q3]':>34} {'change median [q1, q3]':>34}"
-              f" {'ratio':>7} {'wins':>7} {'gain':>5} {'bound':>11}")
+              f" {'ratio':>7} {'pair ratios [q1, q3]':>22} {'wins':>7} {'gain':>5}"
+              f" {'bound':>11}")
         for metric in spec["end_to_end"]:
             row = compare(runs, metric)
             sides = (f"{m:>10.4g} [{q1:.4g}, {q3:.4g}]" for q1, m, q3 in
                      (row["parent"], row["change"]))
+            q1, m, q3 = row["pair_ratios"]
             print(f"{metric['name']:<20} {next(sides):>34} {next(sides):>34}"
-                  f" {row['ratio']:>7.3f} {row['wins']:>3}/{row['pairs']:<3}"
+                  f" {row['ratio']:>7.3f} {f'{m:.3f} [{q1:.3f}, {q3:.3f}]':>22}"
+                  f" {row['wins']:>3}/{row['pairs']:<3}"
                   f" {'yes' if row['gain'] else 'no':>5} {row['bound']:>11}")
     return 0
 

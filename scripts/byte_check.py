@@ -15,12 +15,13 @@ seed 5, `--max-lr 3e-3`) and `sentsimp simplify` of the test sources,
 greedy and beam-4. The toy preset's dropout rate is 0, so one more run,
 through the library API, trains `bert` at dropout rate 0.1 (3 epochs,
 seed 5, `max_lr` 3e-3) into `bert_dropout/`: the only run that draws
-dropout masks. A last library-API run trains `gpt2` (3 epochs, seed 5,
-`max_lr` 3e-3) into `gpt2_ragged/` on 64 pairs of a seeded synthetic
-corpus, sentences of 4-14 words drawn from 5,000 (a 4,153-entry
-vocabulary): the only run whose batches hold pads on both sides, whose
-loss spans several vocabulary chunks and whose embedding tables have rows
-no batch reaches. A revision whose API lacks a name it uses fails with
+dropout masks. Two last library-API runs train `gpt2` and `bert` (3
+epochs, seed 5, `max_lr` 3e-3) into `gpt2_ragged/` and `bert_ragged/` on
+64 pairs of a seeded synthetic corpus, sentences of 4-14 words drawn from
+5,000 (a 4,153-entry vocabulary): the only runs whose batches hold pads on
+both sides, whose loss spans several vocabulary chunks and whose embedding
+tables have rows no batch reaches; `bert_ragged` is the only one whose
+bidirectional encoder masks source pads. A revision whose API lacks a name it uses fails with
 exit 2. The two trees run at the same time, each with one BLAS thread.
 
 For each artifact it prints `same`, or the offset of the first byte that
@@ -45,7 +46,8 @@ ARTIFACTS = ("checkpoint.bin", "history.tsv", "greedy.txt", "beam.txt")
 # Directory under out/ -> the artifacts to compare there.
 RUNS = {**{v.replace("+", "_"): ARTIFACTS for v in VARIANTS},
         "bert_dropout": ("checkpoint.bin", "history.tsv"),
-        "gpt2_ragged": ("checkpoint.bin", "history.tsv")}
+        "gpt2_ragged": ("checkpoint.bin", "history.tsv"),
+        "bert_ragged": ("checkpoint.bin", "history.tsv")}
 
 # Run in each tree with its own src/ on the path; argv: the tree, the work directory and
 # the variant names.
@@ -104,7 +106,9 @@ sources = [" ".join(f"w{i}" for i in rng.integers(0, 5000, size=n))
 pairs = [(s, " ".join(s.split()[::2])) for s in sources]
 vocab = tok.build_vocab(sources, 6000)
 valid = [C.EvalExample(s, (t,)) for s, t in pairs[64:72]]
-train_into("gpt2_ragged", variant_config("gpt2", "toy", vocab.size), vocab, pairs[:64], valid)
+for variant in ("gpt2", "bert"):
+    train_into(variant + "_ragged", variant_config(variant, "toy", vocab.size), vocab,
+               pairs[:64], valid)
 """
 
 

@@ -317,10 +317,10 @@ def cross_entropy(x: Tensor, targets: np.ndarray, ignore_id: int,
     projection x @ weight + bias, which is never built whole. Both passes run over
     `_CHUNK` vocabulary columns at a time: the forward keeps each row's running max,
     its rescaled sum of exps and its target logit (an online softmax); the backward
-    recomputes each chunk's logits and turns them into softmax minus one-hot. Given
-    logits are one chunk, as is a projection of one chunk's columns: the forward's
-    logits are kept for the backward, and the arithmetic, and so every byte, is that
-    of the whole-row formula.
+    recomputes each chunk's logits and turns them into softmax minus one-hot, written
+    into the chunk only when the projection made it: given logits are read, never
+    written. Given logits are one chunk, as is a projection of one chunk's columns,
+    and then the arithmetic, and so every byte, is that of the whole-row formula.
     """
     targets = np.asarray(targets)
     if targets.shape != x.shape[:-1]:
@@ -367,7 +367,6 @@ def cross_entropy(x: Tensor, targets: np.ndarray, ignore_id: int,
         total = np.exp(z, out=z).sum(axis=1)
         s = total if m is None else s * np.exp(m - top) + total
         m = top
-    kept = c if len(chunks) == 1 else None  # the one chunk's logits, for the backward
     lse = np.log(s)
     nll = np.where(valid.reshape(-1), lse - (picked - m), 0.0)
     n = int(valid.sum())
@@ -379,9 +378,8 @@ def cross_entropy(x: Tensor, targets: np.ndarray, ignore_id: int,
         if weight is not None:
             gw, gb = np.empty(weight.shape), np.empty(vocab)
         for lo, hi in chunks:
-            c = logits(lo, hi) if kept is None else kept
-            # Kept logits are only read, so the backward gives the same on every call.
-            c = np.subtract(c, m[:, None], out=c if kept is None else None)
+            c = logits(lo, hi)
+            c = np.subtract(c, m[:, None], out=None if weight is None else c)
             c -= lse[:, None]
             np.exp(c, out=c)
             c[hits(lo, hi)] -= 1.0

@@ -1,20 +1,18 @@
 """Teacher-forced training: AdamW, one-cycle LR, early stopping on SARI.
 
 Training updates the model's payload in place. The optimiser keeps both
-Adam moments, and a buffer for gradients, in three mappings of the
-payload's layout, which it takes from the config (see `OptState`), and
-updates the dense parameters in spans, a block at a time: each maximal run
-of adjacent parameters smaller than one block is one contiguous run of the
-payload, of both moments and of the gradient buffer, which the step copies
-their gradients into; a larger parameter is a span of its own whose
-gradient is read in place, so only the small parameters' part of the
-buffer (1.3 MB at toy width) is ever touched, at any vocabulary. An
-embedding table's gradient stays in the row form `backward` gives it
-(`tensor.RowGrad`): the clip norm and the update read only the rows a
-batch reached. Each block the update writes is checked finite right after
-its weight decay, while it is in cache; there is no pass over the whole
-payload. The best-epoch snapshot is one buffer the size of the payload,
-written over at each improving epoch, and it is the checkpoint's.
+Adam moments in two mappings of the payload's layout, which it takes from
+the config (see `OptState`), and updates the dense parameters in spans, a
+block at a time: a span is a maximal run of adjacent parameters that are
+not embedding tables, one contiguous run of the payload and of both
+moments, and each block gathers its gradient from the parameters it covers
+into a block-sized buffer. An embedding table's gradient stays in the row
+form `backward` gives it (`tensor.RowGrad`): the clip norm and the update
+read only the rows a batch reached. Each block the update writes is
+checked finite right after its weight decay, while it is in cache; there
+is no pass over the whole payload. The best-epoch snapshot is one buffer
+the size of the payload, written over at each improving epoch, and it is
+the checkpoint's.
 
 The checkpoint file is the magic "SSCK", then a little-endian uint32
 version (2) and uint64 header length, then a UTF-8 JSON header
@@ -33,9 +31,10 @@ import math
 import mmap
 import os
 import struct
+from bisect import bisect_left, bisect_right
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields, asdict
-from itertools import groupby, zip_longest
+from itertools import accumulate, groupby, zip_longest
 from typing import ClassVar, NamedTuple
 
 import numpy as np
@@ -103,12 +102,11 @@ class Span(NamedTuple):
 
 @dataclass
 class OptState:
-    """AdamW's state over one model: both Adam moments (`m_arena`, `v_arena`) and a
-    gradient buffer (`g_arena`) in the payload's layout, and the step count `t`. Each is
-    an anonymous mapping advised off huge pages (`_zeros`), so its pages take memory
-    only once written: a table's moment rows once they go live, 4 KB pages where a 2 MB
-    huge page would be faulted in whole for one row, and of the gradient buffer only
-    the spans of several parameters.
+    """AdamW's state over one model: both Adam moments (`m_arena`, `v_arena`) in the
+    payload's layout, and the step count `t`. Each is an anonymous mapping advised off
+    huge pages (`_zeros`), so its pages take memory only once written: a table's moment
+    rows once they go live, 4 KB pages where a 2 MB huge page would be faulted in whole
+    for one row.
 
     `tables` maps each embedding table (`_emb`) to its views of both moment buffers and
     a live flag per row, set once a gradient row that is not all zero has reached it,
@@ -116,14 +114,11 @@ class OptState:
     gradient at every step, so its moments are +0.0 and the Adam step leaves it
     unchanged.
 
-    `spans` covers every other parameter, in header order: a maximal run of adjacent
-    parameters smaller than one block (`_ADAMW_BLOCK`) is one span, and a larger one is
-    a span of its own. A span of several parameters copies their gradients into its
-    run of `g_arena`; a span of one reads that parameter's gradient in place. Weight
-    decay applies to all but the layer norms (`.ln`)."""
+    `spans` covers every other parameter, in header order: each maximal run of
+    adjacent parameters that are not tables is one span. Weight decay applies to all
+    but the layer norms (`.ln`)."""
     m_arena: np.ndarray
     v_arena: np.ndarray
-    g_arena: np.ndarray
     tables: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]
     spans: list[Span]
     t: int = 0
@@ -190,12 +185,11 @@ def _zeros(n: int) -> np.ndarray:
 
 
 def init_opt_state(model: Model) -> OptState:
-    """Zero both moments and the gradient buffer in the payload's layout, with no table
-    row live, and lay out the spans. Each is a fresh mapping (`_zeros`), so the moments
-    of table rows that never go live cost no memory, nor does the gradient buffer
-    outside the spans of several parameters, the only ones a step copies into."""
+    """Zero both moments in the payload's layout, with no table row live, and lay out
+    the spans. Each moment is a fresh mapping (`_zeros`), so the moments of table rows
+    that never go live cost no memory."""
     shapes = param_shapes(model.config)
-    m_arena, v_arena, g_arena = (_zeros(model.payload.size) for _ in range(3))
+    m_arena, v_arena = _zeros(model.payload.size), _zeros(model.payload.size)
     ms, vs = param_views(m_arena, shapes), param_views(v_arena, shapes)
     tables = {n: (ms[n], vs[n], np.zeros(s[0], dtype=bool))
               for n, s in shapes.items() if n.endswith("_emb")}
@@ -203,18 +197,14 @@ def init_opt_state(model: Model) -> OptState:
     for name, shape in shapes.items():
         layout.append((name, offset, offset + math.prod(shape)))
         offset += math.prod(shape)
-
-    def kind(entry):  # tables; runs of small parameters; each large one on its own
-        name, lo, hi = entry
-        return "table" if name in tables else "small" if hi - lo < _ADAMW_BLOCK else name
-
     spans = []
-    for group in (list(g) for k, g in groupby(layout, kind) if k != "table"):
+    for group in (list(g) for table, g in groupby(layout, lambda e: e[0] in tables)
+                  if not table):
         lo, hi = group[0][1], group[-1][2]
         runs = [list(r) for decays, r in groupby(group, lambda e: ".ln" not in e[0]) if decays]
         decayed = tuple((r[0][1] - lo, r[-1][2] - lo) for r in runs)
         spans.append(Span(slice(lo, hi), tuple(n for n, _, _ in group), decayed))
-    return OptState(m_arena, v_arena, g_arena, tables, spans)
+    return OptState(m_arena, v_arena, tables, spans)
 
 
 def _finite(block: np.ndarray) -> None:
@@ -222,23 +212,32 @@ def _finite(block: np.ndarray) -> None:
         raise NonFiniteError("non-finite update")
 
 
-def _adam(p, g, m, v, lr: float, t: int, cfg: TrainConfig, factor: float, decay: float,
-          decayed: tuple[tuple[int, int], ...]) -> None:
-    """The AdamW recurrence on gradient g * factor, in place over the flat arrays p, m
-    and v, a block at a time in two block-sized buffers; g is only read. The decay of the
-    updated value follows on the entries of p in the `decayed` ranges, and then every
-    value the block wrote is checked finite (NonFiniteError), while it is in cache. Every
-    operation is elementwise, so neither blocking nor spans change a byte."""
+def _adam(p, grads: list[np.ndarray], m, v, lr: float, t: int, cfg: TrainConfig,
+          factor: float, decay: float, decayed: tuple[tuple[int, int], ...]) -> None:
+    """The AdamW recurrence on the gradients `grads` * factor, in place over the flat
+    arrays p, m and v, a block at a time in two block-sized buffers. `grads` are the
+    gradients of the parameters that p holds end to end, in order; each block copies
+    the slices it covers into one buffer and scales them there, so no gradient is
+    written, and once the gradient is read for the last time the same buffer holds the
+    update. The decay of the updated value follows on the entries of p in the `decayed`
+    ranges, and then every value the block wrote is checked finite (NonFiniteError),
+    while it is in cache. Every operation is elementwise, so neither blocking nor spans
+    change a byte."""
     bc1 = 1.0 - cfg.beta1 ** t
     bc2 = 1.0 - cfg.beta2 ** t
+    flat = [g.reshape(-1) for g in grads]
+    starts = list(accumulate((g.size for g in flat), initial=0))
     size = min(_ADAMW_BLOCK, p.size)
-    tmp_buffer, update_buffer = np.empty(size), np.empty(size)
+    tmp_buffer, g_buffer = np.empty(size), np.empty(size)
     for lo in range(0, p.size, _ADAMW_BLOCK):
-        hi = lo + _ADAMW_BLOCK
-        pb, gb, mb, vb = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
-        tmp, update = tmp_buffer[:pb.size], update_buffer[:pb.size]
+        hi = min(lo + _ADAMW_BLOCK, p.size)
+        pb, mb, vb = p[lo:hi], m[lo:hi], v[lo:hi]
+        tmp, gb = tmp_buffer[:pb.size], g_buffer[:pb.size]
+        covered = range(bisect_right(starts, lo) - 1, bisect_left(starts, hi))
+        np.concatenate([flat[i][max(lo - starts[i], 0):hi - starts[i]] for i in covered],
+                       out=gb)
         if factor != 1.0:
-            gb = np.multiply(gb, factor, out=update)  # last read before the update is formed
+            gb *= factor
         np.multiply(gb, 1.0 - cfg.beta1, out=tmp)
         mb *= cfg.beta1
         mb += tmp
@@ -249,7 +248,7 @@ def _adam(p, g, m, v, lr: float, t: int, cfg: TrainConfig, factor: float, decay:
         np.divide(vb, bc2, out=tmp)
         np.sqrt(tmp, out=tmp)
         tmp += cfg.eps_adam
-        np.divide(mb, bc1, out=update)
+        update = np.divide(mb, bc1, out=gb)  # the gradient's last read was above
         update /= tmp
         update *= lr
         pb -= update
@@ -271,8 +270,7 @@ def adamw_step(model: Model, state: OptState, lr: float, cfg: TrainConfig,
     decay of the updated value. Weight decay skips layer-norm gains and biases (never by
     a multiply by 0.0, which would turn a -0.0 parameter into +0.0).
 
-    Each span (see OptState) is one run of `_adam`: the gradients of a span of several
-    parameters are first copied into its run of `g_arena`, never aliased. On an
+    Each span (see OptState) is one run of `_adam` over its parameters' gradients. On an
     embedding table the Adam step runs on the live rows only, gathered and scattered
     back, and every row then gets the decay: for a row that is not live the full
     arithmetic would subtract +0.0, so the bytes are those of the dense update. A
@@ -294,12 +292,8 @@ def adamw_step(model: Model, state: OptState, lr: float, cfg: TrainConfig,
     state.t += 1
     decay = lr * cfg.weight_decay
     for at, names, decayed in state.spans:
-        if len(names) == 1:
-            g = grads[names[0]].reshape(-1)
-        else:
-            g = np.concatenate([grads[n] for n in names], axis=None, out=state.g_arena[at])
-        _adam(model.payload[at], g, state.m_arena[at], state.v_arena[at], lr, state.t, cfg,
-              factor, decay, decayed)
+        _adam(model.payload[at], [grads[n] for n in names], state.m_arena[at],
+              state.v_arena[at], lr, state.t, cfg, factor, decay, decayed)
     for name, (m, v, live) in state.tables.items():
         p, g = model.params[name].data, grads[name]
         if not isinstance(g, T.RowGrad):
@@ -311,8 +305,8 @@ def adamw_step(model: Model, state: OptState, lr: float, cfg: TrainConfig,
         gr = np.zeros((rows.size, p.shape[1]))
         gr[np.searchsorted(rows, g.ids[reached])] = g.rows[reached]
         pr, mr, vr = p[rows], m[rows], v[rows]
-        _adam(pr.reshape(-1), gr.reshape(-1), mr.reshape(-1), vr.reshape(-1), lr,
-              state.t, cfg, factor, decay, ())
+        _adam(pr.reshape(-1), [gr], mr.reshape(-1), vr.reshape(-1), lr, state.t, cfg,
+              factor, decay, ())
         p[rows], m[rows], v[rows] = pr, mr, vr
         flat = p.reshape(-1)
         for lo in range(0, flat.size, _ADAMW_BLOCK):

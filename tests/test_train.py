@@ -322,12 +322,11 @@ class TestAdamW:
         assert not kept.any() and np.signbit(kept).all()
 
     def test_spans_that_cut_blocks_match_whole_array_recurrence(self, monkeypatch):
-        """At a block of 64 entries, spans cross block boundaries inside a parameter,
-        runs of decayed parameters end partway through a block, and d_ff 17 makes each
-        feed-forward weight (68 entries) a span of its own, read in place. Three steps
-        at clip factors other than 1 give the bytes of the per-parameter whole-array
-        formula, and enc.0.ln2.bias, a layer norm between decayed parameters, keeps its
-        -0.0 entries."""
+        """At a block of 64 entries the one span's blocks cut through parameters, so each
+        block gathers its gradient from several parameters' slices, and runs of decayed
+        parameters end partway through a block. Three steps at clip factors other than
+        1 give the bytes of the per-parameter whole-array formula, and enc.0.ln2.bias,
+        a layer norm between decayed parameters, keeps its -0.0 entries."""
         monkeypatch.setattr(sentsimp.train, "_ADAMW_BLOCK", 64)
         cfg = ModelConfig(d_model=4, n_heads=1, n_layers=1, d_ff=17, vocab_size=23,
                           max_len=5)
@@ -339,17 +338,13 @@ class TestAdamW:
                 param.data[:] += rng.normal(size=param.shape)
         model.params["enc.0.ln2.bias"].data[::2] = -0.0
         state, tc = init_opt_state(model), TrainConfig()
-        # Each span as (first parameter, parameters, entries); a span of one parameter
-        # reads its gradient in place, and the others copy theirs into their run of
-        # g_arena, the payload's layout.
+        # The four tables lead the payload, so every other parameter is in one span, as
+        # (first parameter, parameters, entries), of 12 blocks.
         assert [(s.names[0], len(s.names), s.at.stop - s.at.start) for s in state.spans] == [
-            ("enc.0.attn.wq", 10, 88), ("enc.0.ff.w1", 1, 68), ("enc.0.ff.b1", 1, 17),
-            ("enc.0.ff.w2", 1, 68), ("enc.0.ff.b2", 23, 188), ("dec.0.ff.w1", 1, 68),
-            ("dec.0.ff.b1", 1, 17), ("dec.0.ff.w2", 1, 68), ("dec.0.ff.b2", 3, 12),
-            ("out.w", 1, 92), ("out.b", 1, 23)]
-        assert state.g_arena.shape == model.payload.shape
-        # enc.0.ff.b2, then dec.0.self and dec.0.cross, each ended by a layer norm.
-        assert state.spans[4].decayed == ((0, 4), (12, 92), (100, 180))
+            ("enc.0.attn.wq", 44, 709)]
+        # Each run of decayed parameters ends at a layer norm, or at the span's end.
+        assert state.spans[0].decayed == ((0, 80), (88, 245), (253, 333), (341, 421),
+                                          (429, 586), (594, 709))
         p = {n: t.data.copy() for n, t in model.params.items()}
         m = {n: np.zeros(s) for n, s in shapes.items()}
         v = {n: np.zeros(s) for n, s in shapes.items()}
@@ -378,11 +373,12 @@ class TestAdamW:
 
 
 class TestClipGradients:
-    def test_parameters_sharing_one_gradient_are_each_scaled_once(self):
+    def test_parameters_sharing_one_gradient_are_each_scaled_once(self, monkeypatch):
         """`add` and `layer_norm(..., residual=)` hand one gradient array to both
         parents. `clip_gradients` only measures; `adamw_step` applies the clip factor
         as it reads each gradient, so each parameter sees its gradient scaled once
-        and the shared array is never written."""
+        and the shared array is never written, also at a block of 2 entries, where
+        the shared arrays are gathered across block boundaries."""
         model = init_model(TINY, 0)
         a, b, x, r = (model.params[f"enc.0.attn.b{part}"] for part in "qkvo")
         weights = Tensor(np.array([3.0, -1.0, 2.0]))
@@ -408,14 +404,19 @@ class TestClipGradients:
         for n, p in reference.params.items():
             p.grad = grads[n] * factor
         tc = TrainConfig()
-        state, ref_state = init_opt_state(model), init_opt_state(reference)
-        adamw_step(model, state, 0.1, tc, factor)
+        ref_state = init_opt_state(reference)
         adamw_step(reference, ref_state, 0.1, tc)
-        for name, p in model.params.items():
-            assert p.grad is grads[name] and p.grad.tobytes() == before[name]
-        assert model.payload.tobytes() == reference.payload.tobytes()
-        assert state.m_arena.tobytes() == ref_state.m_arena.tobytes()
-        assert state.v_arena.tobytes() == ref_state.v_arena.tobytes()
+        start = model.payload.copy()
+        for block in (sentsimp.train._ADAMW_BLOCK, 2):
+            monkeypatch.setattr(sentsimp.train, "_ADAMW_BLOCK", block)
+            model.payload[:] = start
+            state = init_opt_state(model)
+            adamw_step(model, state, 0.1, tc, factor)
+            for name, p in model.params.items():
+                assert p.grad is grads[name] and p.grad.tobytes() == before[name]
+            assert model.payload.tobytes() == reference.payload.tobytes()
+            assert state.m_arena.tobytes() == ref_state.m_arena.tobytes()
+            assert state.v_arena.tobytes() == ref_state.v_arena.tobytes()
 
 
 class TestTrainConfig:
