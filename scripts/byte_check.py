@@ -21,8 +21,8 @@ epochs, seed 5, `max_lr` 3e-3) into `gpt2_ragged/` and `bert_ragged/` on
 5,000 (a 4,153-entry vocabulary): the only runs whose batches hold pads on
 both sides, whose loss spans several vocabulary chunks and whose embedding
 tables have rows no batch reaches; `bert_ragged` is the only one whose
-bidirectional encoder masks source pads. A revision whose API lacks a name it uses fails with
-exit 2. The two trees run at the same time, each with one BLAS thread.
+bidirectional encoder masks source pads. A revision whose API lacks a name
+it uses fails with exit 2. The two trees run at the same time, each with one BLAS thread.
 
 For each artifact it prints `same`, or the offset of the first byte that
 differs. It exits 0 when every artifact is the same, 1 on any difference,

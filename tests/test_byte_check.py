@@ -16,8 +16,8 @@ def worktrees() -> str:
 
 def test_head_against_the_working_tree():
     """The toy flow of all four variant names, the dropout run and the ragged `gpt2` and
-    `bert` runs give the same bytes in a worktree of HEAD and in this checkout, and the worktree is
-    gone afterwards."""
+    `bert` runs give the same bytes in a worktree of HEAD and in this checkout, and the
+    worktree is gone afterwards."""
     before = worktrees()
     done = subprocess.run([sys.executable, str(SCRIPT), "HEAD"], capture_output=True,
                           text=True, timeout=120)
