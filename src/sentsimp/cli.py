@@ -160,6 +160,13 @@ def _format_row(label, sari, add, delete, keep):
     return f"{label:<28} {fmt(sari)} {fmt(add)} {fmt(delete)} {fmt(keep)}"
 
 
+def _results_table(rows, heading: str, published) -> str:
+    """Our rows under the column header, a blank line, then `heading` over `published`."""
+    return "\n".join([f"{'Model':<28}   SARI    ADD DELETE   KEEP",
+                      *(_format_row(*row) for row in rows), "", heading,
+                      *(_format_row(*row) for row in published)])
+
+
 def cmd_eval(args) -> int:
     src_path, ref_paths = C.find_eval_files(args.eval_stem)
     evals = C.load_eval(src_path, ref_paths)
@@ -182,14 +189,11 @@ def cmd_eval(args) -> int:
                   f, indent=2)
         f.write("\n")
 
-    lines = [f"{'Model':<28}   SARI    ADD DELETE   KEEP",
-             _format_row(label, report.sari, report.add, report.delete, report.keep),
-             "",
-             "Published Mechanical Turk results (reference constants):"]
-    for row in PAPER_VARIANT_ROWS:
-        lines.append(_format_row(*row))
+    table = _results_table([(label, report.sari, report.add, report.delete, report.keep)],
+                           "Published Mechanical Turk results (reference constants):",
+                           PAPER_VARIANT_ROWS)
     with staged_write(os.path.join(out_dir, "report.txt")) as f:
-        f.write("\n".join(lines) + "\n")
+        f.write(table + "\n")
 
     with staged_write(os.path.join(out_dir, "sentences.tsv")) as f:
         f.write("index\tsari\tsari_normalized\n")
@@ -227,14 +231,7 @@ def cmd_report(args) -> int:
         rows.append((data["label"], *(data[k] for k in scores)))
     rows.sort(key=lambda r: -r[1])
 
-    lines = [f"{'Model':<28}   SARI    ADD DELETE   KEEP"]
-    for row in rows:
-        lines.append(_format_row(*row))
-    lines.append("")
-    lines.append("Published results (static):")
-    for row in LITERATURE_ROWS:
-        lines.append(_format_row(*row))
-    table = "\n".join(lines)
+    table = _results_table(rows, "Published results (static):", LITERATURE_ROWS)
     print(table)
     if args.out:
         os.makedirs(args.out, exist_ok=True)

@@ -2,13 +2,13 @@
 
 Training updates the model's payload in place. The optimiser keeps both
 Adam moments in two mappings of the payload's layout, which it takes from
-the config (see `OptState`), and updates the dense parameters in spans, a
-block at a time: a span is a maximal run of adjacent parameters that are
-not embedding tables, one contiguous run of the payload and of both
-moments, and each block gathers its gradient from the parameters it covers
-into a block-sized buffer. An embedding table's gradient stays in the row
-form `backward` gives it (`tensor.RowGrad`): the clip norm and the update
-read only the rows a batch reached. Each block the update writes is
+the config (see `OptState`). The four embedding tables lead the payload, so
+every other parameter lies in one contiguous run of the payload and of
+both moments, which AdamW updates a block at a time: each block gathers
+its gradient from the parameters it covers into a block-sized buffer. An
+embedding table's gradient stays in the row form `backward` gives it
+(`tensor.RowGrad`): the clip norm and the update read only the rows a
+batch reached. Each block the update writes is
 checked finite right after its weight decay, while it is in cache; there
 is no pass over the whole payload. The best-epoch snapshot is one buffer
 the size of the payload, written over at each improving epoch, and it is
@@ -34,8 +34,8 @@ import struct
 from bisect import bisect_left, bisect_right
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields, asdict
-from itertools import accumulate, groupby, zip_longest
-from typing import ClassVar, NamedTuple
+from itertools import accumulate, zip_longest
+from typing import ClassVar
 
 import numpy as np
 
@@ -83,21 +83,14 @@ class TrainConfig:
     clip_norm: ClassVar[float] = 1.0
 
     def __post_init__(self):
-        if not 0 < self.base_lr <= self.max_lr:
-            raise ValueError("need 0 < base_lr <= max_lr")
+        if not (0 < self.base_lr <= self.max_lr and math.isfinite(self.max_lr)):
+            raise ValueError("need finite 0 < base_lr <= max_lr")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.patience is not None and self.patience < 1:
             raise ValueError("patience must be >= 1")
-
-
-class Span(NamedTuple):
-    """Adjacent dense parameters that AdamW updates as one run of the payload."""
-    at: slice                   # its entries of the payload and of each OptState arena
-    names: tuple[str, ...]      # its parameters, in header order
-    decayed: tuple[tuple[int, int], ...]  # its runs of decayed parameters, span offsets
 
 
 @dataclass
@@ -114,13 +107,15 @@ class OptState:
     gradient at every step, so its moments are +0.0 and the Adam step leaves it
     unchanged.
 
-    `spans` covers every other parameter, in header order: each maximal run of
-    adjacent parameters that are not tables is one span. Weight decay applies to all
-    but the layer norms (`.ln`)."""
+    `param_shapes` puts the four tables first, so every other parameter lies in one
+    run to the end of the payload and of both moments: `dense`, a slice of each.
+    `decayed` holds that run's ranges of adjacent parameters that get weight decay,
+    as offsets into it: all but the layer norms (`.ln`)."""
     m_arena: np.ndarray
     v_arena: np.ndarray
     tables: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]
-    spans: list[Span]
+    dense: slice
+    decayed: tuple[tuple[int, int], ...]
     t: int = 0
 
 
@@ -186,25 +181,22 @@ def _zeros(n: int) -> np.ndarray:
 
 def init_opt_state(model: Model) -> OptState:
     """Zero both moments in the payload's layout, with no table row live, and lay out
-    the spans. Each moment is a fresh mapping (`_zeros`), so the moments of table rows
-    that never go live cost no memory."""
+    the run of every other parameter. Each moment is a fresh mapping (`_zeros`), so the
+    moments of table rows that never go live cost no memory."""
     shapes = param_shapes(model.config)
     m_arena, v_arena = _zeros(model.payload.size), _zeros(model.payload.size)
     ms, vs = param_views(m_arena, shapes), param_views(v_arena, shapes)
     tables = {n: (ms[n], vs[n], np.zeros(s[0], dtype=bool))
               for n, s in shapes.items() if n.endswith("_emb")}
-    layout, offset = [], 0  # (name, start, end) in the payload
-    for name, shape in shapes.items():
-        layout.append((name, offset, offset + math.prod(shape)))
-        offset += math.prod(shape)
-    spans = []
-    for group in (list(g) for table, g in groupby(layout, lambda e: e[0] in tables)
-                  if not table):
-        lo, hi = group[0][1], group[-1][2]
-        runs = [list(r) for decays, r in groupby(group, lambda e: ".ln" not in e[0]) if decays]
-        decayed = tuple((r[0][1] - lo, r[-1][2] - lo) for r in runs)
-        spans.append(Span(slice(lo, hi), tuple(n for n, _, _ in group), decayed))
-    return OptState(m_arena, v_arena, tables, spans)
+    decayed, offset = [], 0  # offsets into the run that follows the tables
+    for name, shape in list(shapes.items())[len(tables):]:
+        end = offset + math.prod(shape)
+        if ".ln" not in name:
+            start = decayed.pop()[0] if decayed and decayed[-1][1] == offset else offset
+            decayed.append((start, end))
+        offset = end
+    dense = slice(model.payload.size - offset, None)
+    return OptState(m_arena, v_arena, tables, dense, tuple(decayed))
 
 
 def _finite(block: np.ndarray) -> None:
@@ -221,8 +213,7 @@ def _adam(p, grads: list[np.ndarray], m, v, lr: float, t: int, cfg: TrainConfig,
     written, and once the gradient is read for the last time the same buffer holds the
     update. The decay of the updated value follows on the entries of p in the `decayed`
     ranges, and then every value the block wrote is checked finite (NonFiniteError),
-    while it is in cache. Every operation is elementwise, so neither blocking nor spans
-    change a byte."""
+    while it is in cache. Every operation is elementwise, so blocking changes no byte."""
     bc1 = 1.0 - cfg.beta1 ** t
     bc2 = 1.0 - cfg.beta2 ** t
     flat = [g.reshape(-1) for g in grads]
@@ -270,12 +261,12 @@ def adamw_step(model: Model, state: OptState, lr: float, cfg: TrainConfig,
     decay of the updated value. Weight decay skips layer-norm gains and biases (never by
     a multiply by 0.0, which would turn a -0.0 parameter into +0.0).
 
-    Each span (see OptState) is one run of `_adam` over its parameters' gradients. On an
-    embedding table the Adam step runs on the live rows only, gathered and scattered
-    back, and every row then gets the decay: for a row that is not live the full
-    arithmetic would subtract +0.0, so the bytes are those of the dense update. A
-    table's gradient is read as its RowGrad, never densified; a dense one, as a caller
-    may assign, is first cut to its nonzero rows.
+    Every parameter but the tables is in one run of `_adam` (`OptState.dense`), over
+    their gradients in header order. On an embedding table the Adam step runs on the
+    live rows only, gathered and scattered back, and every row then gets the decay: for
+    a row that is not live the full arithmetic would subtract +0.0, so the bytes are
+    those of the dense update. A table's gradient is read as its RowGrad, never
+    densified; a dense one, as a caller may assign, is first cut to its nonzero rows.
 
     Each block is checked finite once written (NonFiniteError), which leaves the
     payload partly updated; nothing is written before every gradient is checked present
@@ -291,9 +282,9 @@ def adamw_step(model: Model, state: OptState, lr: float, cfg: TrainConfig,
         grads[name] = g
     state.t += 1
     decay = lr * cfg.weight_decay
-    for at, names, decayed in state.spans:
-        _adam(model.payload[at], [grads[n] for n in names], state.m_arena[at],
-              state.v_arena[at], lr, state.t, cfg, factor, decay, decayed)
+    at, dense = state.dense, [g for n, g in grads.items() if n not in state.tables]
+    _adam(model.payload[at], dense, state.m_arena[at], state.v_arena[at], lr, state.t, cfg,
+          factor, decay, state.decayed)
     for name, (m, v, live) in state.tables.items():
         p, g = model.params[name].data, grads[name]
         if not isinstance(g, T.RowGrad):

@@ -7,7 +7,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
-from contextlib import contextmanager, redirect_stderr
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from dataclasses import fields
 from pathlib import Path
 
@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from sentsimp import cli, train
 from sentsimp.cli import main
+from sentsimp.decoding import STRATEGIES
 from sentsimp.tensor import NonFiniteError
 from sentsimp.train import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, TrainConfig
 
@@ -95,6 +96,25 @@ class TestTrain:
         out = tmp_path / "run"
         assert main(train_args(corpus_dir, out, ["--min-freq", "-3"])) == 2
         assert "min_freq" in one_error_line(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    @pytest.mark.parametrize("rates", [{"max_lr": "inf"}, {"base_lr": "inf", "max_lr": "inf"},
+                                       {"max_lr": "nan"}])
+    def test_non_finite_learning_rate_exits_2_before_out(self, where, rates, corpus_dir,
+                                                         tmp_path, capsys, monkeypatch):
+        """A learning rate that is not finite is a bad setting, not a numeric failure
+        after a step of training."""
+        monkeypatch.setattr(cli, "train_loop", lambda *a: pytest.fail("train_loop called"))
+        if where == "flag":
+            extra = [t for k, v in rates.items() for t in (f"--{k.replace('_', '-')}", v)]
+        else:
+            config = tmp_path / "run.cfg"
+            config.write_text("".join(f"{k}={v}\n" for k, v in rates.items()))
+            extra = ["--config", str(config)]
+        out = tmp_path / "run"
+        assert main(train_args(corpus_dir, out, extra)) == 2
+        assert "finite" in one_error_line(capsys)
         assert not out.exists()
 
     # (--max-lr, --base-lr): the norm's sum of squares overflows to inf; a backward pass
@@ -665,3 +685,107 @@ def test_write_failing_midway_leaves_no_file(case, trained_run, corpus_dir, tmp_
         assert target not in left
     else:
         assert (out / target).read_bytes() == old
+
+
+def _not_an_int(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+_NOT_AN_INT = st.one_of(st.text(max_size=8), st.floats().map(repr)).filter(_not_an_int)
+# (subcommand, flag) -> invalid values only: a valid --beam-width would decode for real.
+_BAD_FLAGS = {
+    ("simplify", "beam_width"): st.one_of(st.integers(max_value=0).map(str), _NOT_AN_INT),
+    ("simplify", "strategy"): st.text(max_size=8).filter(lambda s: s not in STRATEGIES),
+    ("eval", "bins"): st.one_of(st.integers(max_value=0).map(str),
+                                st.integers(min_value=10_001).map(str), _NOT_AN_INT),
+}
+# (subcommand, file) -> how it is damaged. An empty --input is valid (an empty output), and
+# a run directory without report.json is skipped with a warning.
+_BAD_FILES = {
+    ("simplify", "checkpoint"): ["missing", "empty", "not_utf8", "truncated"],
+    ("simplify", "input"): ["missing", "not_utf8", "truncated"],
+    ("simplify", "output"): ["in_missing_dir"],
+    ("eval", "system"): ["missing", "empty", "not_utf8", "truncated", "wrong_length"],
+    ("report", "report.json"): ["empty", "not_utf8", "truncated"],
+}
+_LINE = "the café sat on the mat\n".encode()  # é is two bytes in UTF-8
+
+
+@st.composite
+def _user_errors(draw):
+    """(subcommand, flag or file, bad value or damage, a fraction that places the damage)"""
+    if draw(st.booleans()):
+        (command, flag), values = draw(st.sampled_from(list(_BAD_FLAGS.items())))
+        return command, flag, draw(values), None
+    (command, name), kinds = draw(st.sampled_from(list(_BAD_FILES.items())))
+    return command, name, draw(st.sampled_from(kinds)), draw(st.floats(0, 1, exclude_max=True))
+
+
+def _damaged(good: bytes, kind: str, at: float, header: range, cuts: range) -> bytes | None:
+    """`good` missing (None), empty, with a byte of `header` made 0xff (never UTF-8), or
+    cut at one of `cuts`."""
+    pick = lambda r: r[int(at * len(r))]
+    if kind == "missing":
+        return None
+    if kind == "not_utf8":
+        i = pick(header)
+        return good[:i] + b"\xff" + good[i + 1:]
+    return {"empty": b"", "truncated": good[:pick(cuts)]}[kind]
+
+
+@given(case=_user_errors())
+@settings(max_examples=150, deadline=None)
+def test_user_errors_end_in_one_error_line(case, trained_run, corpus_dir):
+    """Whatever bad flag value or damaged file `simplify`, `eval` or `report` gets, it
+    exits 2 with one stderr line that starts with `error:`, and writes no output file."""
+    command, target, bad, at = case
+    checkpoint = (trained_run / "checkpoint.bin").read_bytes()
+    report = json.dumps({"label": "x", "sari": 1.0, "add": 1.0, "keep": 1.0,
+                         "delete": 1.0, "n": 1}).encode()  # no newline: every prefix is bad
+    n_eval = len((corpus_dir / "test.src").read_text().splitlines())
+    with tempfile.TemporaryDirectory() as d:
+        d = Path(d)
+        (d / "run").mkdir()
+        # name -> (path, good bytes, bytes that may turn 0xff, cuts that leave it bad)
+        files = {
+            "checkpoint": (d / "c.bin", checkpoint,
+                           range(PREFIX.size, PREFIX.size + PREFIX.unpack_from(checkpoint)[2]),
+                           range(len(checkpoint))),
+            "input": (d / "in.txt", _LINE * 3, range(3 * len(_LINE)),
+                      range(_LINE.index(b"\xa9"), 3 * len(_LINE), len(_LINE))),
+            "system": (d / "sys.txt", _LINE * n_eval, range(n_eval * len(_LINE)),
+                       range((n_eval - 1) * len(_LINE))),
+            "report.json": (d / "run" / "report.json", report, range(len(report)),
+                            range(len(report))),
+        }
+        for name, (path, good, header, cuts) in files.items():
+            data = good
+            if name == target and bad == "wrong_length":
+                lines = int(at * 2 * n_eval)
+                data = _LINE * (lines + (lines >= n_eval))
+            elif name == target:
+                data = _damaged(good, bad, at, header, cuts)
+            if data is not None:
+                path.write_bytes(data)
+        output = d / ("absent" if bad == "in_missing_dir" else "") / "out.txt"
+        argv = {
+            "simplify": ["simplify", "--checkpoint", str(files["checkpoint"][0]),
+                         "--input", str(files["input"][0]), "--output", str(output)],
+            "eval": ["eval", "--system", str(files["system"][0]),
+                     "--eval-stem", str(corpus_dir / "test"), "--out", str(d / "eval")],
+            "report": ["report", str(d / "run"), "--out", str(d / "cmp")],
+        }[command]
+        if at is None:
+            argv.append(f"--{target.replace('_', '-')}={bad}")
+        stderr = io.StringIO()
+        with redirect_stderr(stderr), redirect_stdout(io.StringIO()):
+            code = main(argv)
+        err = stderr.getvalue().splitlines()
+        assert code == 2 and len(err) == 1 and err[0].startswith("error:"), (code, err)
+        assert not output.exists() and not (d / "absent").exists()
+        assert not (d / "eval").exists() or not any((d / "eval").iterdir())
+        assert not (d / "cmp").exists()

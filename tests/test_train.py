@@ -19,7 +19,8 @@ from hypothesis import given, settings, strategies as st
 import sentsimp
 from sentsimp import tensor as T
 from sentsimp.corpus import EvalExample
-from sentsimp.model import Model, ModelConfig, forward, init_model, param_shapes, param_views
+from sentsimp.model import (Model, ModelConfig, forward, init_model, param_shapes, param_views,
+                            variant_config)
 from sentsimp.tensor import Tensor
 from sentsimp.train import (Checkpoint, CheckpointFormatError, EpochRecord, TrainConfig,
                             TrainHistory, adamw_step, clip_gradients, history_tsv, init_opt_state,
@@ -101,6 +102,17 @@ def scalar_model(value: float) -> Model:
     return model
 
 
+@pytest.mark.parametrize("scale, vocab_size", [("toy", 40), ("toy", 50_257), ("paper", None)])
+@pytest.mark.parametrize("variant", ["bert", "gpt2"])
+def test_the_four_tables_lead_the_payload(variant, scale, vocab_size):
+    """AdamW takes every parameter after the four embedding tables as one dense run
+    (`OptState.dense`), so the tables must come first and no other name be a table.
+    Only shapes are built, no array."""
+    names = list(param_shapes(variant_config(variant, scale, vocab_size)))
+    assert names[:4] == ["enc.tok_emb", "enc.pos_emb", "dec.tok_emb", "dec.pos_emb"]
+    assert not any(n.endswith("_emb") for n in names[4:])
+
+
 class TestAdamW:
     def test_zero_gradient_pure_decay(self):
         model = scalar_model(1.0)
@@ -155,13 +167,12 @@ class TestAdamW:
         assert list(model.params) == list(param_shapes(model.config))
         assert_laid_end_to_end(model.payload, [p.data for p in model.params.values()])
         assert state.m_arena.shape == state.v_arena.shape == model.payload.shape
-        assert [n for span in state.spans for n in span.names] == [
-            n for n in model.params if n not in state.tables]
+        # The tables lead the payload and each arena; the dense run is the rest.
+        assert_laid_end_to_end(model.payload, [*(model.params[n].data for n in state.tables),
+                                               model.payload[state.dense]])
         for k, arena in enumerate((state.m_arena, state.v_arena)):
-            # The tables' moment views and the spans' runs cover it in header order.
-            runs = {**{n: views[k] for n, views in state.tables.items()},
-                    **{span.names[0]: arena[span.at] for span in state.spans}}
-            assert_laid_end_to_end(arena, [runs[n] for n in model.params if n in runs])
+            assert_laid_end_to_end(arena, [*(views[k] for views in state.tables.values()),
+                                           arena[state.dense]])
         assert not np.shares_memory(state.m_arena, state.v_arena)
         assert model.payload.tobytes() == before
         assert not state.m_arena.any() and not state.v_arena.any()
@@ -338,13 +349,16 @@ class TestAdamW:
                 param.data[:] += rng.normal(size=param.shape)
         model.params["enc.0.ln2.bias"].data[::2] = -0.0
         state, tc = init_opt_state(model), TrainConfig()
-        # The four tables lead the payload, so every other parameter is in one span, as
-        # (first parameter, parameters, entries), of 12 blocks.
-        assert [(s.names[0], len(s.names), s.at.stop - s.at.start) for s in state.spans] == [
-            ("enc.0.attn.wq", 44, 709)]
-        # Each run of decayed parameters ends at a layer norm, or at the span's end.
-        assert state.spans[0].decayed == ((0, 80), (88, 245), (253, 333), (341, 421),
-                                          (429, 586), (594, 709))
+        # The four tables lead the payload, so every other parameter is in the one dense
+        # run, from enc.0.attn.wq: 44 parameters, 709 entries, 12 blocks.
+        names = list(shapes)
+        first = names.index("enc.0.attn.wq")
+        assert len(names) - first == 44
+        assert state.dense == slice(sum(math.prod(shapes[n]) for n in names[:first]), None)
+        assert model.payload[state.dense].size == 709
+        # Each run of decayed parameters ends at a layer norm, or at the run's end.
+        assert state.decayed == ((0, 80), (88, 245), (253, 333), (341, 421), (429, 586),
+                                 (594, 709))
         p = {n: t.data.copy() for n, t in model.params.items()}
         m = {n: np.zeros(s) for n, s in shapes.items()}
         v = {n: np.zeros(s) for n, s in shapes.items()}
@@ -423,6 +437,12 @@ class TestTrainConfig:
     def test_lr_ordering_enforced(self):
         with pytest.raises(ValueError):
             TrainConfig(base_lr=1e-2, max_lr=1e-3)
+
+    @pytest.mark.parametrize("base_lr, max_lr", [(1e-4, math.inf), (math.inf, math.inf),
+                                                 (math.nan, 1e-3), (1e-4, math.nan)])
+    def test_non_finite_lr_rejected(self, base_lr, max_lr):
+        with pytest.raises(ValueError, match="finite"):
+            TrainConfig(base_lr=base_lr, max_lr=max_lr)
 
     def test_patience_floor(self):
         with pytest.raises(ValueError):
