@@ -333,7 +333,7 @@ class TestAdamW:
         assert not kept.any() and np.signbit(kept).all()
 
     def test_spans_that_cut_blocks_match_whole_array_recurrence(self, monkeypatch):
-        """At a block of 64 entries the one span's blocks cut through parameters, so each
+        """At a block of 64 entries the dense run's blocks cut through parameters, so each
         block gathers its gradient from several parameters' slices, and runs of decayed
         parameters end partway through a block. Three steps at clip factors other than
         1 give the bytes of the per-parameter whole-array formula, and enc.0.ln2.bias,
